@@ -23,13 +23,17 @@ namespace {
 
 // The representative template slice: the thread-mapped baseline (cheapest
 // trace per edge), a shared-memory LB template (heavy shared-op traffic),
-// the optimized CDP template (device-launch heavy), and a consolidation
-// template (descriptor buffers + aggregated child grids).
+// the optimized CDP template (device-launch heavy), a consolidation
+// template (descriptor buffers + aggregated child grids), and the naive CDP
+// template — a launch storm of one child grid per heavy row, where the
+// per-grid recording path (launch records, merge, launch-graph growth)
+// rather than the per-op path sets the pace.
 constexpr LoopTemplate kTemplates[] = {
     LoopTemplate::kBaseline,
     LoopTemplate::kDbufShared,
     LoopTemplate::kDparOpt,
     LoopTemplate::kConsBlock,
+    LoopTemplate::kDparNaive,
 };
 
 struct Point {

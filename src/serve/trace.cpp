@@ -33,7 +33,6 @@ void ServeTracer::record_grids(std::uint64_t request, std::uint32_t tenant,
                                std::uint64_t attempt_seq, double exec_begin_us,
                                const std::vector<simt::GridSlice>& slices) {
   if (!enabled_) return;
-  grids_.reserve(grids_.size() + slices.size());
   for (const simt::GridSlice& s : slices) {
     GridEvent e;
     e.request = request;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -102,6 +103,11 @@ class Arena {
 /// Key 0 is reserved as the empty-slot sentinel; real keys are atomic-unit
 /// indices (address / atomic_segment_bytes) of heap addresses and are never
 /// zero, but a dedicated counter keeps the container total just in case.
+///
+/// The table is recycled across grids, so every whole-table operation —
+/// max_count, for_each, clear, grow — walks a log of occupied slot indices
+/// instead of the table: O(entries used), never O(capacity). A histogram
+/// that once grew large costs nothing extra on later small grids.
 class FlatHist {
  public:
   FlatHist() = default;
@@ -112,7 +118,10 @@ class FlatHist {
     swap(o);
     return *this;
   }
-  ~FlatHist() { delete[] slots_; }
+  ~FlatHist() {
+    delete[] slots_;
+    delete[] used_;
+  }
 
   /// Increment the count of `key` by one.
   void bump(std::uint64_t key) { add(key, 1); }
@@ -133,35 +142,36 @@ class FlatHist {
       i = (i + 1) & (cap_ - 1);
     }
     slots_[i] = Slot{key, n};
-    ++size_;
+    used_[size_++] = static_cast<std::uint32_t>(i);
   }
 
   /// Largest count over all keys (0 when empty) — the hotspot-serialization
   /// input of the timing model.
   std::uint64_t max_count() const {
     std::uint64_t m = zero_count_;
-    for (std::uint64_t i = 0; i < cap_; ++i) {
-      if (slots_[i].key != 0 && slots_[i].count > m) m = slots_[i].count;
+    for (std::uint64_t k = 0; k < size_; ++k) {
+      m = std::max(m, slots_[used_[k]].count);
     }
     return m;
   }
 
   /// Visit every (key, count) pair in unspecified order. Callers must only
-  /// perform order-independent reductions (the merge in Recorder::merge_grid
-  /// sums counts per key, then takes the max — both commutative).
+  /// perform order-independent reductions (Recorder::merge_block sums
+  /// counts per key, then the grid takes the max — both commutative).
   template <class F>
   void for_each(F&& f) const {
     if (zero_count_ > 0) f(std::uint64_t{0}, zero_count_);
-    for (std::uint64_t i = 0; i < cap_; ++i) {
-      if (slots_[i].key != 0) f(slots_[i].key, slots_[i].count);
+    for (std::uint64_t k = 0; k < size_; ++k) {
+      const Slot& s = slots_[used_[k]];
+      f(s.key, s.count);
     }
   }
 
   bool empty() const { return size_ == 0 && zero_count_ == 0; }
 
-  /// Forget all entries; table storage is retained for reuse.
+  /// Forget all entries in O(entries used); table storage is retained.
   void clear() {
-    if (slots_ != nullptr) std::memset(slots_, 0, cap_ * sizeof(Slot));
+    for (std::uint64_t k = 0; k < size_; ++k) slots_[used_[k]].key = 0;
     size_ = 0;
     zero_count_ = 0;
   }
@@ -187,6 +197,7 @@ class FlatHist {
 
   void swap(FlatHist& o) noexcept {
     std::swap(slots_, o.slots_);
+    std::swap(used_, o.used_);
     std::swap(cap_, o.cap_);
     std::swap(size_, o.size_);
     std::swap(zero_count_, o.zero_count_);
@@ -195,18 +206,24 @@ class FlatHist {
   void grow() {
     const std::uint64_t ncap = cap_ == 0 ? 64 : cap_ * 2;
     auto* ns = new Slot[ncap]();
-    for (std::uint64_t i = 0; i < cap_; ++i) {
-      if (slots_[i].key == 0) continue;
-      std::uint64_t j = mix(slots_[i].key) & (ncap - 1);
+    // The load limit (3/4) bounds the log: size_ < ncap * 3 / 4 always.
+    auto* nu = new std::uint32_t[ncap / 4 * 3];
+    for (std::uint64_t k = 0; k < size_; ++k) {
+      const Slot& s = slots_[used_[k]];
+      std::uint64_t j = mix(s.key) & (ncap - 1);
       while (ns[j].key != 0) j = (j + 1) & (ncap - 1);
-      ns[j] = slots_[i];
+      ns[j] = s;
+      nu[k] = static_cast<std::uint32_t>(j);
     }
     delete[] slots_;
+    delete[] used_;
     slots_ = ns;
+    used_ = nu;
     cap_ = ncap;
   }
 
   Slot* slots_ = nullptr;
+  std::uint32_t* used_ = nullptr;  ///< Occupied slot indices, size_ of them.
   std::uint64_t cap_ = 0;  ///< Power of two (or 0 before first use).
   std::uint64_t size_ = 0;
   std::uint64_t zero_count_ = 0;

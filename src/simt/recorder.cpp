@@ -445,6 +445,8 @@ Recorder::Recorder(const DeviceSpec& spec, int max_nesting_depth)
       // parameter and the spec's ResourceLimits (both default to 24).
       max_depth_(std::min(max_nesting_depth, spec.limits.max_nesting_depth)) {}
 
+Recorder::~Recorder() = default;
+
 void Recorder::reset() {
   graph_ = LaunchGraph{};
   seq_ = 0;
@@ -587,9 +589,26 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
         static_cast<std::uint64_t>(nblocks);
   }
 
-  std::vector<detail::BlockRecord> blocks(static_cast<std::size_t>(nblocks));
-  const auto run_block = [&](std::int64_t b) {
-    detail::BlockRecord& r = blocks[static_cast<std::size_t>(b)];
+  // Exclusive when this grid's blocks run back-to-back on one thread
+  // (serial engine, or a single-block grid — host grids never overlap each
+  // other, so no other thread can be touching global memory). Such blocks
+  // share one record, merged as soon as each block finishes, and bump the
+  // grid-level histogram directly. Concurrent blocks record privately and
+  // are merged afterwards; merging in block order either way reproduces
+  // the same global state.
+  const bool exclusive = !(pool_ != nullptr && nblocks > 1);
+  const std::size_t nrecords =
+      exclusive ? 1 : static_cast<std::size_t>(nblocks);
+  if (records_.size() < nrecords) records_.resize(nrecords);
+  // Cleared here rather than after the merge, so a kernel that threw out of
+  // an earlier grid cannot leak its counts into this one.
+  grid_hist_.clear();
+  graph_.nodes[node_id].blocks.resize(static_cast<std::size_t>(nblocks));
+  const auto run_block = [&](std::int64_t b, detail::BlockRecord& r) {
+    // Recycled from an earlier block: drop its contents, keep its storage.
+    r.metrics = Metrics{};
+    r.hist.clear();
+    r.nodes.clear();
     r.budget = budget0;
     // node_id is final before any block runs (host nodes are created up
     // front, device nodes during the previous merge), so this key is
@@ -597,103 +616,101 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
     r.budget.grid_key = fault_mix(
         (static_cast<std::uint64_t>(node_id) << 24) ^
         static_cast<std::uint64_t>(b));
-    // Exclusive when this grid's blocks run back-to-back on one thread
-    // (serial engine, or a single-block grid — host grids never overlap
-    // each other, so no other thread can be touching global memory).
-    EngineEnv env(&r, &spec_, max_depth_, /*node_local=*/-1, depth, &r.hist,
-                  &injector_, !(pool_ != nullptr && nblocks > 1));
+    EngineEnv env(&r, &spec_, max_depth_, /*node_local=*/-1, depth,
+                  exclusive ? &grid_hist_ : &r.hist, &injector_, exclusive);
     BlockCtx blk(&env, static_cast<int>(b), nthreads, nblocks);
     k(blk);
     r.cost = blk.finish();
   };
-  if (pool_ != nullptr && nblocks > 1) {
-    pool_->parallel_for(nblocks, run_block);
+  if (exclusive) {
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      run_block(b, records_[0]);
+      merge_block(node_id, static_cast<std::size_t>(b), records_[0]);
+    }
   } else {
-    for (std::int64_t b = 0; b < nblocks; ++b) run_block(b);
+    pool_->parallel_for(nblocks, [&](std::int64_t b) {
+      run_block(b, records_[static_cast<std::size_t>(b)]);
+    });
+    for (std::size_t b = 0; b < nrecords; ++b) {
+      merge_block(node_id, b, records_[b]);
+    }
   }
-  merge_grid(node_id, blocks);
+  graph_.nodes[node_id].hottest_atomic_ops = grid_hist_.max_count();
 }
 
-void Recorder::merge_grid(std::uint32_t node_id,
-                          std::vector<detail::BlockRecord>& blocks) {
-  // Merging in block order reproduces the serial engine's global state
+void Recorder::merge_block(std::uint32_t node_id, std::size_t b,
+                           detail::BlockRecord& r) {
+  // Called in block order, this reproduces the serial engine's global state
   // exactly: node ids and launch seq numbers follow DFS creation order
-  // within a block, block-major across blocks — which is the order one
-  // thread running the blocks back-to-back would have produced. Stream
-  // interning happens here too, so dense stream ids come out identical.
-  graph_.nodes[node_id].blocks.resize(blocks.size());
-  AtomicHist grid_hist;
+  // within a block, block-major across blocks. Stream interning happens
+  // here too, so dense stream ids come out identical.
+  const std::uint32_t base = static_cast<std::uint32_t>(graph_.nodes.size());
+  // At most one reallocation per merge, and geometric growth: an exact
+  // reserve would move every earlier node on each merge that adds a device
+  // grid (quadratic in grids under launch storms), while growing one node
+  // at a time through a block that launched thousands of grids would hold
+  // the old and new node arrays at once, next to the block's records.
+  const std::size_t need = graph_.nodes.size() + r.nodes.size();
+  if (need > graph_.nodes.capacity()) {
+    graph_.nodes.reserve(std::max(need, 2 * graph_.nodes.capacity()));
+  }
+  for (ChildLaunch& c : r.cost.children) c.child_kernel += base;
   {
-    // One reservation for every node this merge appends: KernelNode is heavy
-    // to move (five vectors and a string), so letting the vector double its
-    // way up through a launch-storm grid (dpar-naive spawns one child per
-    // heavy row) wastes measurable time in the merge path.
-    std::size_t incoming = 0;
-    for (const detail::BlockRecord& r : blocks) incoming += r.nodes.size();
-    graph_.nodes.reserve(graph_.nodes.size() + incoming);
+    KernelNode& root = graph_.nodes[node_id];
+    root.blocks[b] = std::move(r.cost);
+    root.metrics += r.metrics;
   }
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    detail::BlockRecord& r = blocks[b];
-    const std::uint32_t base = static_cast<std::uint32_t>(graph_.nodes.size());
-    for (ChildLaunch& c : r.cost.children) c.child_kernel += base;
-    {
-      KernelNode& root = graph_.nodes[node_id];
-      root.blocks[b] = std::move(r.cost);
-      root.metrics += r.metrics;
+  // Empty when the grid's blocks shared grid_hist_ (see run_grid).
+  r.hist.for_each([this](std::uint64_t addr, std::uint64_t count) {
+    grid_hist_.add(addr, count);
+  });
+  for (std::size_t j = 0; j < r.nodes.size(); ++j) {
+    detail::ArenaNode& ln = r.nodes[j];
+    // Built in place: KernelNode is four vectors, a string and a Metrics,
+    // so emplace-then-fill skips a full move of every merged node.
+    KernelNode& node = graph_.nodes.emplace_back();
+    node.id = base + static_cast<std::uint32_t>(j);
+    node.name = std::move(ln.cfg.name);
+    node.origin = LaunchOrigin::kDevice;
+    node.grid_blocks = ln.cfg.grid_blocks;
+    node.block_threads = ln.cfg.block_threads;
+    node.smem_bytes = ln.cfg.smem_bytes;
+    node.regs_per_thread = ln.cfg.regs_per_thread;
+    node.aggregated_descriptors = ln.cfg.aggregated_descriptors;
+    node.parent_kernel =
+        ln.parent_local < 0
+            ? static_cast<std::int64_t>(node_id)
+            : static_cast<std::int64_t>(base) + ln.parent_local;
+    node.parent_block = ln.parent_block;
+    node.nest_depth = ln.nest_depth;
+    node.stream = stream_id_for_device(
+        static_cast<std::uint32_t>(node.parent_kernel), ln.parent_block,
+        ln.stream_slot);
+    node.seq = seq_++;
+    // Provenance: an explicit per-launch context wins; otherwise the child
+    // inherits its parent grid's stamp (already merged — parents precede
+    // children in DFS creation order), which transitively carries the
+    // ambient serve context down through consolidated child grids.
+    if (ln.cfg.trace.active()) {
+      node.batch_id = ln.cfg.trace.batch_id;
+      node.requesters = ln.cfg.trace.members;
+    } else {
+      const KernelNode& parent =
+          graph_.nodes[static_cast<std::size_t>(node.parent_kernel)];
+      node.batch_id = parent.batch_id;
+      node.requesters = parent.requesters;
     }
-    r.hist.for_each([&grid_hist](std::uint64_t addr, std::uint64_t count) {
-      grid_hist.add(addr, count);
-    });
-    for (std::size_t j = 0; j < r.nodes.size(); ++j) {
-      detail::ArenaNode& ln = r.nodes[j];
-      // Built in place: KernelNode is five vectors and a string, so
-      // emplace-then-fill skips a full move of every freshly merged node.
-      // The reserve above guarantees no reallocation happens mid-merge.
-      KernelNode& node = graph_.nodes.emplace_back();
-      node.id = base + static_cast<std::uint32_t>(j);
-      node.name = std::move(ln.cfg.name);
-      node.origin = LaunchOrigin::kDevice;
-      node.grid_blocks = ln.cfg.grid_blocks;
-      node.block_threads = ln.cfg.block_threads;
-      node.smem_bytes = ln.cfg.smem_bytes;
-      node.regs_per_thread = ln.cfg.regs_per_thread;
-      node.aggregated_descriptors = ln.cfg.aggregated_descriptors;
-      node.parent_kernel =
-          ln.parent_local < 0
-              ? static_cast<std::int64_t>(node_id)
-              : static_cast<std::int64_t>(base) + ln.parent_local;
-      node.parent_block = ln.parent_block;
-      node.nest_depth = ln.nest_depth;
-      node.stream = stream_id_for_device(
-          static_cast<std::uint32_t>(node.parent_kernel), ln.parent_block,
-          ln.stream_slot);
-      node.seq = seq_++;
-      // Provenance: an explicit per-launch context wins; otherwise the child
-      // inherits its parent grid's stamp (already merged — parents precede
-      // children in DFS creation order), which transitively carries the
-      // ambient serve context down through consolidated child grids.
-      if (ln.cfg.trace.active()) {
-        node.batch_id = ln.cfg.trace.batch_id;
-        node.requesters = ln.cfg.trace.members;
-      } else {
-        const KernelNode& parent =
-            graph_.nodes[static_cast<std::size_t>(node.parent_kernel)];
-        node.batch_id = parent.batch_id;
-        node.requesters = parent.requesters;
-      }
-      node.metrics = ln.metrics;
-      node.hottest_atomic_ops = ln.hottest_atomic_ops;
-      node.blocks = std::move(ln.blocks);
-      for (BlockCost& bc : node.blocks) {
-        for (ChildLaunch& c : bc.children) c.child_kernel += base;
-      }
-      if (ln.deferred) {
-        deferred_.emplace_back(base + static_cast<std::uint32_t>(j),
-                               std::move(ln.kernel));
-      }
+    node.metrics = ln.metrics;
+    node.hottest_atomic_ops = ln.hottest_atomic_ops;
+    node.blocks = std::move(ln.blocks);
+    for (BlockCost& bc : node.blocks) {
+      for (ChildLaunch& c : bc.children) c.child_kernel += base;
+    }
+    if (ln.deferred) {
+      deferred_.emplace_back(base + static_cast<std::uint32_t>(j),
+                             std::move(ln.kernel));
     }
   }
-  graph_.nodes[node_id].hottest_atomic_ops = grid_hist.max_count();
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ double combine_warp(const DeviceSpec& spec, Metrics& m, const WarpTrace& trace,
 class Recorder {
  public:
   explicit Recorder(const DeviceSpec& spec, int max_nesting_depth = 24);
+  ~Recorder();
 
   /// Launch a grid from the host into `stream`; runs it to completion
   /// functionally (including any nested launches it performs). On success the
@@ -99,11 +100,12 @@ class Recorder {
 
  private:
   std::uint32_t create_host_node(const LaunchConfig& cfg, std::uint32_t stream);
-  /// Execute one recorded grid: fan its blocks out as tasks (pool or serial),
-  /// then merge their records deterministically in block order.
+  /// Execute one recorded grid: fan its blocks out as tasks (pool or serial)
+  /// and merge their records deterministically in block order.
   void run_grid(std::uint32_t node_id, const Kernel& k);
-  void merge_grid(std::uint32_t node_id,
-                  std::vector<detail::BlockRecord>& blocks);
+  /// Fold block `b`'s record into grid `node_id` and the launch graph.
+  void merge_block(std::uint32_t node_id, std::size_t b,
+                   detail::BlockRecord& r);
 
   std::uint32_t stream_id_for_host(int user_stream);
   std::uint32_t stream_id_for_device(std::uint32_t parent_node,
@@ -124,6 +126,12 @@ class Recorder {
   /// cross-block launch ordering guarantees).
   std::mt19937_64 drain_rng_{0x9e3779b97f4a7c15ull};
   std::uint64_t seq_ = 0;
+  /// Block records, recycled across grids so steady-state grids reuse their
+  /// node arenas and histograms: one shared by blocks that run back-to-back,
+  /// or one per block of a grid spread over the pool.
+  std::vector<detail::BlockRecord> records_;
+  /// Atomic histogram of the grid being run, recycled across grids.
+  AtomicHist grid_hist_;
   FlatIdMap stream_ids_;
   /// Tail (last node id) per dense stream id, for event recording.
   FlatIdMap stream_tail_;

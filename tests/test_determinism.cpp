@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/apps/spmv.h"
@@ -78,6 +79,40 @@ void expect_identical(const simt::RunReport& s, const simt::RunReport& p) {
     EXPECT_EQ(s.per_kernel[i].busy_cycles, p.per_kernel[i].busy_cycles);
     same_metrics(s.per_kernel[i].metrics, p.per_kernel[i].metrics,
                  "kernel " + s.per_kernel[i].name);
+  }
+}
+
+// Node-by-node equality of two launch graphs. The serial engine has every
+// block of a grid bump one shared atomic histogram and recycles its block
+// records across grids; the parallel engine gives each block its own
+// histogram and folds them at the merge. Both must give each grid the same
+// hottest-address count and the same per-block costs and child lists.
+void expect_same_graph(const simt::LaunchGraph& s, const simt::LaunchGraph& p) {
+  ASSERT_EQ(s.nodes.size(), p.nodes.size());
+  for (std::size_t i = 0; i < s.nodes.size(); ++i) {
+    const simt::KernelNode& a = s.nodes[i];
+    const simt::KernelNode& b = p.nodes[i];
+    const std::string where = "node " + std::to_string(i) + " " + a.name;
+    EXPECT_EQ(a.name, b.name) << where;
+    EXPECT_EQ(a.parent_kernel, b.parent_kernel) << where;
+    EXPECT_EQ(a.parent_block, b.parent_block) << where;
+    EXPECT_EQ(a.stream, b.stream) << where;
+    EXPECT_EQ(a.seq, b.seq) << where;
+    EXPECT_EQ(a.hottest_atomic_ops, b.hottest_atomic_ops) << where;
+    ASSERT_EQ(a.blocks.size(), b.blocks.size()) << where;
+    for (std::size_t k = 0; k < a.blocks.size(); ++k) {
+      const simt::BlockCost& x = a.blocks[k];
+      const simt::BlockCost& y = b.blocks[k];
+      EXPECT_EQ(x.issue_cycles, y.issue_cycles) << where << " block " << k;
+      ASSERT_EQ(x.children.size(), y.children.size())
+          << where << " block " << k;
+      for (std::size_t c = 0; c < x.children.size(); ++c) {
+        EXPECT_EQ(x.children[c].child_kernel, y.children[c].child_kernel)
+            << where << " block " << k << " child " << c;
+        EXPECT_EQ(x.children[c].issue_fraction, y.children[c].issue_fraction)
+            << where << " block " << k << " child " << c;
+      }
+    }
   }
 }
 
@@ -199,6 +234,48 @@ INSTANTIATE_TEST_SUITE_P(AllTemplates, RecDeterminism,
                          [](const auto& info) {
                            return test_name(rec::name(info.param));
                          });
+
+// --- launch graphs, node by node -----------------------------------------------
+
+// Launch-dense runs (one child grid per heavy row or tree node) exercise the
+// per-grid recording path hardest: record recycling across thousands of
+// grids, the serial engine's shared histogram, and launch-graph growth.
+TEST(GraphDeterminism, DparNaiveSsspGraphMatchesNodeByNode) {
+  const graph::Csr g = skewed_graph();
+  const std::uint32_t src = first_source(g);
+  nested::LoopParams params;
+  params.lb_threshold = 32;
+
+  simt::Device dev;
+  const auto record = [&](const simt::ExecPolicy& policy) {
+    simt::Session session = dev.session(policy);
+    apps::run_sssp(dev, g, src, nested::LoopTemplate::kDparNaive, params);
+    return dev.graph();
+  };
+  const simt::LaunchGraph s = record(simt::ExecPolicy::serial());
+  const simt::LaunchGraph p = record(kParallel);
+  EXPECT_GT(s.nodes.size(), 100u);  // Genuinely launch-dense.
+  expect_same_graph(s, p);
+}
+
+TEST(GraphDeterminism, RecNaiveTreeTraversalGraphMatchesNodeByNode) {
+  const tree::Tree tr =
+      tree::generate_tree({.depth = 3, .outdegree = 24, .sparsity = 1}, 99);
+  simt::Device dev;
+  const auto record = [&](const simt::ExecPolicy& policy) {
+    simt::Session session = dev.session(policy);
+    // No policy: traverse inside the session opened above.
+    rec::run_tree_traversal(
+        dev, tr,
+        rec::TreeRun{rec::TreeAlgo::kDescendants, rec::RecTemplate::kRecNaive,
+                     {}, std::nullopt});
+    return dev.graph();
+  };
+  const simt::LaunchGraph s = record(simt::ExecPolicy::serial());
+  const simt::LaunchGraph p = record(kParallel);
+  EXPECT_GT(s.nodes.size(), 100u);
+  expect_same_graph(s, p);
+}
 
 // --- synthetic coverage: streams, events, async nested launches ----------------
 

@@ -45,8 +45,8 @@ constexpr const char* kUsage =
     "usage: nestpar_serve [--requests=N] [--qps=Q] [--shards=N] [--queue=N]\n"
     "  [--batch=N] [--linger-us=X] [--deadline-us=X] [--attempts=N]\n"
     "  [--no-hedge] [--tmpl=NAME] [--graphs=N] [--scale=F] [--seed=N]\n"
-    "  [--num-tenants=N] [--faults=SPEC] [--completions] [--tenants]\n"
-    "  [--json]\n"
+    "  [--num-tenants=N] [--faults=SPEC] [--completions] [--trace=FILE]\n"
+    "  [--metrics] [--tenants] [--json] [--metrics-interval-us=X]\n"
     "  --requests=N     queries to serve (default 200)\n"
     "  --qps=Q          open-loop arrival rate (default 3000)\n"
     "  --shards=N       simulated devices (default 4)\n"

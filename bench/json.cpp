@@ -238,6 +238,14 @@ double require_num(const JsonObject& obj, const std::string& key) {
   return v.number();
 }
 
+std::uint64_t require_u64(const JsonObject& obj, const std::string& key) {
+  const double v = require_num(obj, key);
+  if (!(v >= 0.0 && v < 18446744073709551616.0)) {
+    throw std::runtime_error("JSON field '" + key + "' is not a count");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 std::string require_str(const JsonObject& obj, const std::string& key) {
   const JsonValue& v = require(obj, key);
   if (!v.is_string()) {
@@ -246,15 +254,30 @@ std::string require_str(const JsonObject& obj, const std::string& key) {
   return v.string();
 }
 
+const JsonObject& require_obj(const JsonObject& obj, const std::string& key) {
+  return as_object(require(obj, key), "JSON field '" + key + "'");
+}
+
+const JsonArray& require_arr(const JsonObject& obj, const std::string& key) {
+  return as_array(require(obj, key), "JSON field '" + key + "'");
+}
+
+const JsonObject& as_object(const JsonValue& v, const std::string& what) {
+  if (!v.is_object()) throw std::runtime_error(what + " is not an object");
+  return v.object();
+}
+
+const JsonArray& as_array(const JsonValue& v, const std::string& what) {
+  if (!v.is_array()) throw std::runtime_error(what + " is not an array");
+  return v.array();
+}
+
 std::map<std::string, double> num_map(const JsonObject& obj,
                                       const std::string& key) {
   std::map<std::string, double> out;
   const auto it = obj.find(key);
   if (it == obj.end()) return out;
-  if (!it->second.is_object()) {
-    throw std::runtime_error("JSON field '" + key + "' is not an object");
-  }
-  for (const auto& [k, v] : it->second.object()) {
+  for (const auto& [k, v] : as_object(it->second, "JSON field '" + key + "'")) {
     if (!v.is_number()) {
       throw std::runtime_error("JSON field '" + key + "." + k +
                                "' is not a number");

@@ -48,10 +48,19 @@ struct JsonValue {
 /// std::runtime_error naming the byte offset on malformed input.
 JsonValue parse_json(const std::string& text);
 
-/// Field lookups with typed errors naming what is missing.
+/// Field lookups with typed errors (std::runtime_error) naming what is
+/// missing or mistyped. `require_u64` also rejects negative, out-of-range
+/// and non-finite counts instead of converting them.
 const JsonValue& require(const JsonObject& obj, const std::string& key);
 double require_num(const JsonObject& obj, const std::string& key);
+std::uint64_t require_u64(const JsonObject& obj, const std::string& key);
 std::string require_str(const JsonObject& obj, const std::string& key);
+const JsonObject& require_obj(const JsonObject& obj, const std::string& key);
+const JsonArray& require_arr(const JsonObject& obj, const std::string& key);
+
+/// Checked views of a value; `what` names it in the std::runtime_error.
+const JsonObject& as_object(const JsonValue& v, const std::string& what);
+const JsonArray& as_array(const JsonValue& v, const std::string& what);
 
 /// Read an optional `{"k": number, ...}` field; absent -> empty map, present
 /// but mistyped -> std::runtime_error.

@@ -118,7 +118,7 @@ int run_suite(const bench::SuiteSpec& spec,
         std::printf("[out] wrote %s\n", ppath.c_str());
       }
     }
-  } catch (const std::runtime_error& e) {
+  } catch (const std::exception& e) {
     slog::error("suite '%s': %s\n", name.c_str(), e.what());
     return validate ? 1 : 2;
   }

@@ -1,5 +1,6 @@
 #include "results.h"
 
+#include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -39,6 +40,87 @@ bool Measurement::is_wall_derived(const std::string& metric) {
          metric.ends_with("_per_sec");
 }
 
+namespace {
+
+/// Files are regenerated, never migrated: a document parses only under the
+/// exact schema version this build writes.
+void check_schema_version(const JsonObject& root, const char* kind,
+                          int supported) {
+  const double version = require_num(root, "schema_version");
+  if (version != supported) {
+    throw std::runtime_error(
+        std::string(kind) + " JSON schema_version " + json_num(version) +
+        " does not match supported version " + std::to_string(supported) +
+        " (regenerate the file with this build's nestpar_bench)");
+  }
+}
+
+/// Baselines are wall-clock free by construction: a wall-derived key outside
+/// the volatile section is a producer bug, rejected at serialization so it
+/// can never reach a checked-in file.
+void reject_wall_derived(const std::string& record,
+                         const std::map<std::string, double>& m,
+                         const char* section) {
+  for (const auto& [name, value] : m) {
+    (void)value;
+    if (Measurement::is_wall_derived(name)) {
+      throw std::invalid_argument(
+          record + ": wall-derived metric '" + name + "' in " + section +
+          " must be tagged volatile (put it in volatile_extra)");
+    }
+  }
+}
+
+simt::RobustnessCounters parse_robustness(const JsonObject& rec) {
+  simt::RobustnessCounters r;
+  const auto rb = num_map(rec, "robustness");
+  r.launches_attempted = opt_u64(rb, "launches_attempted");
+  r.refused_pool = opt_u64(rb, "refused_pool");
+  r.refused_depth = opt_u64(rb, "refused_depth");
+  r.refused_heap = opt_u64(rb, "refused_heap");
+  r.faults_injected = opt_u64(rb, "faults_injected");
+  r.retries = opt_u64(rb, "retries");
+  r.degraded = opt_u64(rb, "degraded");
+  return r;
+}
+
+/// Writes `text` to `<dir>/<name>`, creating `dir` if needed.
+std::string write_file(const std::string& dir, const std::string& name,
+                       const char* kind, const std::string& text) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    throw std::runtime_error("cannot create " + std::string(kind) +
+                             " directory '" + dir + "': " + ec.message());
+  }
+  const std::string path = dir + "/" + name;
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
+  f << text;
+  if (!f) throw std::runtime_error("write to '" + path + "' failed");
+  return path;
+}
+
+/// Reads `path` and parses it, prefixing any parse error with the path.
+template <typename T>
+T load_file(const std::string& path, const char* kind,
+            T (*parse)(const std::string&)) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) {
+    throw std::runtime_error("cannot open " + std::string(kind) + " file '" +
+                             path + "'");
+  }
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  try {
+    return parse(buf.str());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+}  // namespace
+
 std::string to_json(const SuiteResult& result) {
   std::string out;
   out += "{\n";
@@ -50,6 +132,9 @@ std::string to_json(const SuiteResult& result) {
   out += "  \"measurements\": [";
   for (std::size_t i = 0; i < result.measurements.size(); ++i) {
     const Measurement& m = result.measurements[i];
+    const std::string record = "result record '" + m.key() + "'";
+    reject_wall_derived(record, m.params, "params");
+    reject_wall_derived(record, m.extra, "extra");
     out += i == 0 ? "\n" : ",\n";
     out += "    {";
     out += "\"template\": " + json_str(m.tmpl) + ", ";
@@ -63,42 +148,14 @@ std::string to_json(const SuiteResult& result) {
     out += "\"host_launches\": " + json_num(m.host_launches) + ", ";
     out += "\"device_launches\": " + json_num(m.device_launches) + ",\n     ";
     out += "\"robustness\": " + m.robustness.to_json() + ",\n     ";
-    // Route wall-clock-derived names out of `extra` even when a suite put
-    // them there: a checked-in baseline must never become byte-unstable on
-    // host timing, and the route has to be structural (by key name, at the
-    // serializer) rather than a per-suite convention.
-    bool misplaced = false;
-    for (const auto& [name, value] : m.extra) {
-      (void)value;
-      if (Measurement::is_wall_derived(name)) {
-        misplaced = true;
-        break;
-      }
-    }
-    const std::map<std::string, double>* extra = &m.extra;
-    const std::map<std::string, double>* vol = &m.volatile_extra;
-    std::map<std::string, double> extra_fixed;
-    std::map<std::string, double> vol_fixed;
-    if (misplaced) {
-      vol_fixed = m.volatile_extra;
-      for (const auto& [name, value] : m.extra) {
-        if (Measurement::is_wall_derived(name)) {
-          vol_fixed.emplace(name, value);  // an explicit volatile copy wins
-        } else {
-          extra_fixed.emplace(name, value);
-        }
-      }
-      extra = &extra_fixed;
-      vol = &vol_fixed;
-    }
     out += "\"extra\": ";
-    append_num_map(out, *extra);
+    append_num_map(out, m.extra);
     // Volatile (wall-clock-derived) metrics live under their own key, and
-    // only when present, so deterministic records keep their exact v1 bytes
-    // and byte-stability tooling can drop the section structurally.
-    if (!vol->empty()) {
+    // only when present, so byte-stability tooling can drop the section
+    // structurally.
+    if (!m.volatile_extra.empty()) {
       out += ",\n     \"extra_volatile\": ";
-      append_num_map(out, *vol);
+      append_num_map(out, m.volatile_extra);
     }
     out += "}";
   }
@@ -108,30 +165,13 @@ std::string to_json(const SuiteResult& result) {
 
 SuiteResult parse_result_json(const std::string& text) {
   const JsonValue doc = parse_json(text);
-  if (!doc.is_object()) {
-    throw std::runtime_error("result JSON root is not an object");
-  }
-  const JsonObject& root = doc.object();
-  const int version = static_cast<int>(require_num(root, "schema_version"));
-  if (version != kResultSchemaVersion) {
-    throw std::runtime_error(
-        "result JSON schema_version " + std::to_string(version) +
-        " does not match supported version " +
-        std::to_string(kResultSchemaVersion) +
-        " (regenerate the file with this build's nestpar_bench)");
-  }
+  const JsonObject& root = as_object(doc, "result JSON root");
+  check_schema_version(root, "result", kResultSchemaVersion);
   SuiteResult result;
   result.suite = require_str(root, "suite");
   result.figure = require_str(root, "figure");
-  const JsonValue& arr = require(root, "measurements");
-  if (!arr.is_array()) {
-    throw std::runtime_error("result JSON 'measurements' is not an array");
-  }
-  for (const JsonValue& item : arr.array()) {
-    if (!item.is_object()) {
-      throw std::runtime_error("result JSON measurement is not an object");
-    }
-    const JsonObject& rec = item.object();
+  for (const JsonValue& item : require_arr(root, "measurements")) {
+    const JsonObject& rec = as_object(item, "result JSON measurement");
     Measurement m;
     m.tmpl = require_str(rec, "template");
     m.dataset = require_str(rec, "dataset");
@@ -139,18 +179,9 @@ SuiteResult parse_result_json(const std::string& text) {
     m.params = num_map(rec, "params");
     m.cycles = require_num(rec, "cycles");
     m.warp_efficiency = require_num(rec, "warp_efficiency");
-    m.host_launches =
-        static_cast<std::uint64_t>(require_num(rec, "host_launches"));
-    m.device_launches =
-        static_cast<std::uint64_t>(require_num(rec, "device_launches"));
-    const auto rb = num_map(rec, "robustness");
-    m.robustness.launches_attempted = opt_u64(rb, "launches_attempted");
-    m.robustness.refused_pool = opt_u64(rb, "refused_pool");
-    m.robustness.refused_depth = opt_u64(rb, "refused_depth");
-    m.robustness.refused_heap = opt_u64(rb, "refused_heap");
-    m.robustness.faults_injected = opt_u64(rb, "faults_injected");
-    m.robustness.retries = opt_u64(rb, "retries");
-    m.robustness.degraded = opt_u64(rb, "degraded");
+    m.host_launches = require_u64(rec, "host_launches");
+    m.device_launches = require_u64(rec, "device_launches");
+    m.robustness = parse_robustness(rec);
     m.extra = num_map(rec, "extra");
     m.volatile_extra = num_map(rec, "extra_volatile");
     result.measurements.push_back(std::move(m));
@@ -160,30 +191,12 @@ SuiteResult parse_result_json(const std::string& text) {
 
 std::string write_result_file(const SuiteResult& result,
                               const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    throw std::runtime_error("cannot create result directory '" + dir +
-                             "': " + ec.message());
-  }
-  const std::string path = dir + "/BENCH_" + result.suite + ".json";
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f << to_json(result);
-  if (!f) throw std::runtime_error("write to '" + path + "' failed");
-  return path;
+  return write_file(dir, "BENCH_" + result.suite + ".json", "result",
+                    to_json(result));
 }
 
 SuiteResult load_result_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open result file '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  try {
-    return parse_result_json(buf.str());
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return load_file(path, "result", &parse_result_json);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,26 +213,6 @@ std::string ServeRecord::key() const {
   return k;
 }
 
-namespace {
-
-/// Serve records are pure virtual-time artifacts; a wall-derived key is a
-/// producer bug, rejected at serialization so it can never reach a baseline.
-void reject_wall_derived(const ServeRecord& r,
-                         const std::map<std::string, double>& m,
-                         const char* section) {
-  for (const auto& [name, value] : m) {
-    (void)value;
-    if (Measurement::is_wall_derived(name)) {
-      throw std::invalid_argument(
-          "serve record '" + r.scenario + "': wall-derived metric '" + name +
-          "' in " + section +
-          " must be tagged volatile (put it in volatile_extra)");
-    }
-  }
-}
-
-}  // namespace
-
 std::string to_serve_json(const SuiteResult& result) {
   std::string out;
   out += "{\n";
@@ -232,50 +225,47 @@ std::string to_serve_json(const SuiteResult& result) {
   out += "  \"records\": [";
   for (std::size_t i = 0; i < result.serve.size(); ++i) {
     const ServeRecord& r = result.serve[i];
+    const serve::ServeStats& s = r.stats;
+    const std::string record = "serve record '" + r.scenario + "'";
+    reject_wall_derived(record, r.params, "params");
+    reject_wall_derived(record, r.extra, "extra");
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"scenario\": " + json_str(r.scenario) + ",\n     ";
     out += "\"params\": ";
     append_num_map(out, r.params);
     out += ",\n     ";
-    out += "\"submitted\": " + json_num(r.submitted) + ", ";
-    out += "\"ok\": " + json_num(r.ok) + ", ";
-    out += "\"expired\": " + json_num(r.expired) + ", ";
-    out += "\"shed\": " + json_num(r.shed) + ", ";
-    out += "\"wrong\": " + json_num(r.wrong) + ",\n     ";
-    out += "\"attempts\": " + json_num(r.attempts) + ", ";
-    out += "\"retries\": " + json_num(r.retries) + ", ";
-    out += "\"hedges\": " + json_num(r.hedges) + ", ";
-    out += "\"batches\": " + json_num(r.batches) + ", ";
-    out += "\"probes\": " + json_num(r.probes) + ",\n     ";
-    out += "\"breaker_trips\": " + json_num(r.breaker_trips) + ", ";
-    out += "\"faults_injected\": " + json_num(r.faults_injected) + ", ";
-    out += "\"degraded\": " + json_num(r.degraded) + ",\n     ";
-    out += "\"makespan_us\": " + json_num(r.makespan_us) + ", ";
-    out += "\"qps_ok\": " + json_num(r.qps_ok) + ",\n     ";
-    out += "\"p50_us\": " + json_num(r.p50_us) + ", ";
-    out += "\"p95_us\": " + json_num(r.p95_us) + ", ";
-    out += "\"p99_us\": " + json_num(r.p99_us) + ", ";
-    out += "\"mean_us\": " + json_num(r.mean_us) + ", ";
-    out += "\"max_us\": " + json_num(r.max_us) + ",\n     ";
-    // Schema v2: tail-latency attribution — where the p99 went.
-    out += "\"p99_split\": {\"queue\": " + json_num(r.p99_queue_us) +
-           ", \"batch\": " + json_num(r.p99_batch_us) +
-           ", \"exec\": " + json_num(r.p99_exec_us) +
-           ", \"retry\": " + json_num(r.p99_retry_us) + "}";
-    // Schema v3: device-cost attribution. Gated on the run having attributed
-    // anything, so producers without attribution emit v2-shaped records.
-    if (r.launches_total != 0 || r.device_cycles_total != 0.0 ||
-        r.fault_device_cycles_total != 0.0) {
-      out += ",\n     \"device_cycles_total\": " +
-             json_num(r.device_cycles_total) +
-             ", \"fault_device_cycles_total\": " +
-             json_num(r.fault_device_cycles_total) +
-             ", \"launches_total\": " + json_num(r.launches_total);
-    }
+    out += "\"submitted\": " + json_num(s.submitted) + ", ";
+    out += "\"ok\": " + json_num(s.ok) + ", ";
+    out += "\"expired\": " + json_num(s.expired) + ", ";
+    out += "\"shed\": " + json_num(s.shed) + ", ";
+    out += "\"wrong\": " + json_num(s.wrong) + ",\n     ";
+    out += "\"attempts\": " + json_num(s.attempts) + ", ";
+    out += "\"retries\": " + json_num(s.retries) + ", ";
+    out += "\"hedges\": " + json_num(s.hedges) + ", ";
+    out += "\"batches\": " + json_num(s.batches) + ", ";
+    out += "\"probes\": " + json_num(s.probes) + ",\n     ";
+    out += "\"breaker_trips\": " + json_num(s.breaker_trips) + ", ";
+    out += "\"faults_injected\": " + json_num(s.faults_injected) + ", ";
+    out += "\"degraded\": " + json_num(s.degraded) + ",\n     ";
+    out += "\"makespan_us\": " + json_num(s.makespan_us) + ", ";
+    out += "\"qps_ok\": " + json_num(s.qps_ok) + ",\n     ";
+    out += "\"p50_us\": " + json_num(s.p50_us) + ", ";
+    out += "\"p95_us\": " + json_num(s.p95_us) + ", ";
+    out += "\"p99_us\": " + json_num(s.p99_us) + ", ";
+    out += "\"mean_us\": " + json_num(s.mean_us) + ", ";
+    out += "\"max_us\": " + json_num(s.max_us) + ",\n     ";
+    out += "\"p99_split\": {\"queue\": " + json_num(s.p99_queue_us) +
+           ", \"batch\": " + json_num(s.p99_batch_us) +
+           ", \"exec\": " + json_num(s.p99_exec_us) +
+           ", \"retry\": " + json_num(s.p99_retry_us) + "},\n     ";
+    out += "\"device_cycles_total\": " + json_num(s.device_cycles_total) +
+           ", \"fault_device_cycles_total\": " +
+           json_num(s.fault_device_cycles_total) +
+           ", \"launches_total\": " + json_num(s.launches_total);
     if (!r.tenants.empty()) {
       out += ",\n     \"tenants\": [";
       for (std::size_t ti = 0; ti < r.tenants.size(); ++ti) {
-        const ServeTenant& t = r.tenants[ti];
+        const serve::TenantUsage& t = r.tenants[ti];
         out += ti == 0 ? "\n" : ",\n";
         out += "      {\"tenant\": " +
                json_num(static_cast<std::uint64_t>(t.tenant)) +
@@ -289,8 +279,6 @@ std::string to_serve_json(const SuiteResult& result) {
       }
       out += "\n     ]";
     }
-    reject_wall_derived(r, r.params, "params");
-    reject_wall_derived(r, r.extra, "extra");
     if (!r.extra.empty()) {
       out += ",\n     \"extra\": ";
       append_num_map(out, r.extra);
@@ -302,14 +290,14 @@ std::string to_serve_json(const SuiteResult& result) {
     if (!r.telemetry.empty()) {
       out += ",\n     \"telemetry\": [";
       for (std::size_t si = 0; si < r.telemetry.size(); ++si) {
-        const ServeSeries& s = r.telemetry[si];
+        const serve::TimeSeries& ts = r.telemetry[si];
         out += si == 0 ? "\n" : ",\n";
-        out += "      {\"name\": " + json_str(s.name) +
-               ", \"unit\": " + json_str(s.unit) + ", \"points\": [";
-        for (std::size_t pi = 0; pi < s.points.size(); ++pi) {
+        out += "      {\"name\": " + json_str(ts.name) +
+               ", \"unit\": " + json_str(ts.unit) + ", \"points\": [";
+        for (std::size_t pi = 0; pi < ts.points.size(); ++pi) {
           if (pi != 0) out += ", ";
-          out += "[" + json_num(s.points[pi].first) + ", " +
-                 json_num(s.points[pi].second) + "]";
+          out += "[" + json_num(ts.points[pi].t_us) + ", " +
+                 json_num(ts.points[pi].value) + "]";
         }
         out += "]}";
       }
@@ -323,95 +311,54 @@ std::string to_serve_json(const SuiteResult& result) {
 
 SuiteResult parse_serve_json(const std::string& text) {
   const JsonValue doc = parse_json(text);
-  if (!doc.is_object()) {
-    throw std::runtime_error("serve JSON root is not an object");
-  }
-  const JsonObject& root = doc.object();
-  const int version = static_cast<int>(require_num(root, "schema_version"));
-  if (version < kMinServeSchemaVersion || version > kServeSchemaVersion) {
-    throw std::runtime_error(
-        "serve JSON schema_version " + std::to_string(version) +
-        " is outside the supported range " +
-        std::to_string(kMinServeSchemaVersion) + ".." +
-        std::to_string(kServeSchemaVersion) +
-        " (regenerate the file with this build's nestpar_bench)");
-  }
+  const JsonObject& root = as_object(doc, "serve JSON root");
+  check_schema_version(root, "serve", kServeSchemaVersion);
   SuiteResult result;
   result.suite = require_str(root, "suite");
   result.figure = require_str(root, "figure");
-  const JsonValue& arr = require(root, "records");
-  if (!arr.is_array()) {
-    throw std::runtime_error("serve JSON 'records' is not an array");
-  }
-  for (const JsonValue& item : arr.array()) {
-    if (!item.is_object()) {
-      throw std::runtime_error("serve JSON record is not an object");
-    }
-    const JsonObject& rec = item.object();
+  for (const JsonValue& item : require_arr(root, "records")) {
+    const JsonObject& rec = as_object(item, "serve JSON record");
     ServeRecord r;
+    serve::ServeStats& s = r.stats;
     r.scenario = require_str(rec, "scenario");
     r.params = num_map(rec, "params");
-    r.submitted = static_cast<std::uint64_t>(require_num(rec, "submitted"));
-    r.ok = static_cast<std::uint64_t>(require_num(rec, "ok"));
-    r.expired = static_cast<std::uint64_t>(require_num(rec, "expired"));
-    r.shed = static_cast<std::uint64_t>(require_num(rec, "shed"));
-    r.wrong = static_cast<std::uint64_t>(require_num(rec, "wrong"));
-    r.attempts = static_cast<std::uint64_t>(require_num(rec, "attempts"));
-    r.retries = static_cast<std::uint64_t>(require_num(rec, "retries"));
-    r.hedges = static_cast<std::uint64_t>(require_num(rec, "hedges"));
-    r.batches = static_cast<std::uint64_t>(require_num(rec, "batches"));
-    r.probes = static_cast<std::uint64_t>(require_num(rec, "probes"));
-    r.breaker_trips =
-        static_cast<std::uint64_t>(require_num(rec, "breaker_trips"));
-    r.faults_injected =
-        static_cast<std::uint64_t>(require_num(rec, "faults_injected"));
-    r.degraded = static_cast<std::uint64_t>(require_num(rec, "degraded"));
-    r.makespan_us = require_num(rec, "makespan_us");
-    r.qps_ok = require_num(rec, "qps_ok");
-    r.p50_us = require_num(rec, "p50_us");
-    r.p95_us = require_num(rec, "p95_us");
-    r.p99_us = require_num(rec, "p99_us");
-    r.mean_us = require_num(rec, "mean_us");
-    r.max_us = require_num(rec, "max_us");
-    // Schema v2 sections; absent in v1 files, which read back zero/empty.
-    const auto split = num_map(rec, "p99_split");
-    const auto split_val = [&split](const char* k) {
-      const auto it = split.find(k);
-      return it == split.end() ? 0.0 : it->second;
-    };
-    r.p99_queue_us = split_val("queue");
-    r.p99_batch_us = split_val("batch");
-    r.p99_exec_us = split_val("exec");
-    r.p99_retry_us = split_val("retry");
-    // Schema v3 sections; absent in v1/v2 files (read back zero/empty).
-    const auto opt_num = [&rec](const char* k) {
-      const auto it = rec.find(k);
-      if (it == rec.end()) return 0.0;
-      if (!it->second.is_number()) {
-        throw std::runtime_error("serve JSON '" + std::string(k) +
-                                 "' is not a number");
-      }
-      return it->second.number();
-    };
-    r.device_cycles_total = opt_num("device_cycles_total");
-    r.fault_device_cycles_total = opt_num("fault_device_cycles_total");
-    r.launches_total = static_cast<std::uint64_t>(opt_num("launches_total"));
-    const auto tenants = rec.find("tenants");
-    if (tenants != rec.end()) {
-      if (!tenants->second.is_array()) {
-        throw std::runtime_error("serve JSON 'tenants' is not an array");
-      }
-      for (const JsonValue& tv : tenants->second.array()) {
-        if (!tv.is_object()) {
-          throw std::runtime_error("serve JSON tenant is not an object");
-        }
-        const JsonObject& tobj = tv.object();
-        ServeTenant t;
-        t.tenant = static_cast<std::uint32_t>(require_num(tobj, "tenant"));
-        t.requests = static_cast<std::uint64_t>(require_num(tobj, "requests"));
-        t.ok = static_cast<std::uint64_t>(require_num(tobj, "ok"));
-        t.launches = static_cast<std::uint64_t>(require_num(tobj, "launches"));
-        t.retries = static_cast<std::uint64_t>(require_num(tobj, "retries"));
+    s.submitted = require_u64(rec, "submitted");
+    s.ok = require_u64(rec, "ok");
+    s.expired = require_u64(rec, "expired");
+    s.shed = require_u64(rec, "shed");
+    s.wrong = require_u64(rec, "wrong");
+    s.attempts = require_u64(rec, "attempts");
+    s.retries = require_u64(rec, "retries");
+    s.hedges = require_u64(rec, "hedges");
+    s.batches = require_u64(rec, "batches");
+    s.probes = require_u64(rec, "probes");
+    s.breaker_trips = require_u64(rec, "breaker_trips");
+    s.faults_injected = require_u64(rec, "faults_injected");
+    s.degraded = require_u64(rec, "degraded");
+    s.makespan_us = require_num(rec, "makespan_us");
+    s.qps_ok = require_num(rec, "qps_ok");
+    s.p50_us = require_num(rec, "p50_us");
+    s.p95_us = require_num(rec, "p95_us");
+    s.p99_us = require_num(rec, "p99_us");
+    s.mean_us = require_num(rec, "mean_us");
+    s.max_us = require_num(rec, "max_us");
+    const JsonObject& split = require_obj(rec, "p99_split");
+    s.p99_queue_us = require_num(split, "queue");
+    s.p99_batch_us = require_num(split, "batch");
+    s.p99_exec_us = require_num(split, "exec");
+    s.p99_retry_us = require_num(split, "retry");
+    s.device_cycles_total = require_num(rec, "device_cycles_total");
+    s.fault_device_cycles_total = require_num(rec, "fault_device_cycles_total");
+    s.launches_total = require_u64(rec, "launches_total");
+    if (const auto it = rec.find("tenants"); it != rec.end()) {
+      for (const JsonValue& tv : as_array(it->second, "serve JSON 'tenants'")) {
+        const JsonObject& tobj = as_object(tv, "serve JSON tenant");
+        serve::TenantUsage t;
+        t.tenant = static_cast<std::uint32_t>(require_u64(tobj, "tenant"));
+        t.requests = require_u64(tobj, "requests");
+        t.ok = require_u64(tobj, "ok");
+        t.launches = require_u64(tobj, "launches");
+        t.retries = require_u64(tobj, "retries");
         t.device_cycles = require_num(tobj, "device_cycles");
         t.fault_device_cycles = require_num(tobj, "fault_device_cycles");
         r.tenants.push_back(t);
@@ -419,35 +366,23 @@ SuiteResult parse_serve_json(const std::string& text) {
     }
     r.extra = num_map(rec, "extra");
     r.volatile_extra = num_map(rec, "extra_volatile");
-    const auto telemetry = rec.find("telemetry");
-    if (telemetry != rec.end()) {
-      if (!telemetry->second.is_array()) {
-        throw std::runtime_error("serve JSON 'telemetry' is not an array");
-      }
-      for (const JsonValue& sv : telemetry->second.array()) {
-        if (!sv.is_object()) {
-          throw std::runtime_error(
-              "serve JSON telemetry series is not an object");
-        }
-        const JsonObject& sobj = sv.object();
-        ServeSeries series;
-        series.name = require_str(sobj, "name");
-        series.unit = require_str(sobj, "unit");
-        const JsonValue& pts = require(sobj, "points");
-        if (!pts.is_array()) {
-          throw std::runtime_error("serve JSON series '" + series.name +
-                                   "' points is not an array");
-        }
-        for (const JsonValue& pv : pts.array()) {
+    if (const auto it = rec.find("telemetry"); it != rec.end()) {
+      for (const JsonValue& sv :
+           as_array(it->second, "serve JSON 'telemetry'")) {
+        const JsonObject& sobj = as_object(sv, "serve JSON telemetry series");
+        serve::TimeSeries ts;
+        ts.name = require_str(sobj, "name");
+        ts.unit = require_str(sobj, "unit");
+        for (const JsonValue& pv : require_arr(sobj, "points")) {
           if (!pv.is_array() || pv.array().size() != 2 ||
               !pv.array()[0].is_number() || !pv.array()[1].is_number()) {
-            throw std::runtime_error("serve JSON series '" + series.name +
+            throw std::runtime_error("serve JSON series '" + ts.name +
                                      "' point is not a [t, value] pair");
           }
-          series.points.emplace_back(pv.array()[0].number(),
-                                     pv.array()[1].number());
+          ts.points.push_back(
+              {pv.array()[0].number(), pv.array()[1].number()});
         }
-        r.telemetry.push_back(std::move(series));
+        r.telemetry.push_back(std::move(ts));
       }
     }
     result.serve.push_back(std::move(r));
@@ -457,30 +392,12 @@ SuiteResult parse_serve_json(const std::string& text) {
 
 std::string write_serve_file(const SuiteResult& result,
                              const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    throw std::runtime_error("cannot create serve directory '" + dir +
-                             "': " + ec.message());
-  }
-  const std::string path = dir + "/SERVE_" + result.suite + ".json";
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f << to_serve_json(result);
-  if (!f) throw std::runtime_error("write to '" + path + "' failed");
-  return path;
+  return write_file(dir, "SERVE_" + result.suite + ".json", "serve",
+                    to_serve_json(result));
 }
 
 SuiteResult load_serve_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open serve file '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  try {
-    return parse_serve_json(buf.str());
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return load_file(path, "serve", &parse_serve_json);
 }
 
 namespace {
@@ -506,22 +423,27 @@ std::string hist_json(const simt::ProfHistogram& h) {
   return out;
 }
 
-simt::ProfHistogram parse_hist(const JsonObject& rec, const std::string& key) {
-  simt::ProfHistogram h;
-  const auto it = rec.find(key);
-  if (it == rec.end()) return h;
-  if (!it->second.is_object()) {
-    throw std::runtime_error("profile JSON field '" + key +
-                             "' is not an object");
+/// Parses a decimal key of a sparse index-keyed map ("12").
+std::uint32_t parse_index_key(const std::string& key) {
+  std::uint32_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(key.data(), key.data() + key.size(), v);
+  if (ec != std::errc() || ptr != key.data() + key.size()) {
+    throw std::runtime_error("profile JSON key '" + key +
+                             "' is not an index");
   }
-  const JsonObject& obj = it->second.object();
-  h.count = static_cast<std::uint64_t>(require_num(obj, "count"));
+  return v;
+}
+
+simt::ProfHistogram parse_hist(const JsonObject& obj) {
+  simt::ProfHistogram h;
+  h.count = require_u64(obj, "count");
   h.sum = require_num(obj, "sum");
   h.min_value = require_num(obj, "min");
   h.max_value = require_num(obj, "max");
   for (const auto& [k, v] : num_map(obj, "buckets")) {
-    const int b = std::stoi(k);
-    if (b >= 0 && b < simt::ProfHistogram::kBuckets) {
+    const std::uint32_t b = parse_index_key(k);
+    if (b < simt::ProfHistogram::kBuckets) {
       h.buckets[b] = static_cast<std::uint64_t>(v);
     }
   }
@@ -544,13 +466,12 @@ std::map<std::uint32_t, std::uint64_t> parse_u32_map(const JsonObject& rec,
                                                      const std::string& key) {
   std::map<std::uint32_t, std::uint64_t> out;
   for (const auto& [k, v] : num_map(rec, key)) {
-    out[static_cast<std::uint32_t>(std::stoul(k))] =
-        static_cast<std::uint64_t>(v);
+    out[parse_index_key(k)] = static_cast<std::uint64_t>(v);
   }
   return out;
 }
 
-// -- Critical-path sections (profile schema v2) -----------------------------
+// -- Critical-path sections -------------------------------------------------
 
 /// Longest binding chain serialized per profile; the tail (nearest the
 /// makespan) is kept because the chain is read top-down from the last-
@@ -571,27 +492,14 @@ std::string crit_attr_json(const simt::CritAttribution& a) {
   return out;
 }
 
-simt::CritAttribution parse_crit_attr(const JsonObject& rec,
-                                      const std::string& key) {
+simt::CritAttribution parse_crit_attr(const JsonObject& obj) {
   simt::CritAttribution a;
-  for (const auto& [name, value] : num_map(rec, key)) {
+  for (const auto& [name, value] : obj) {
+    (void)value;
     simt::CritCategory cat;
-    if (simt::parse_crit_category(name, cat)) a[cat] = value;
+    if (simt::parse_crit_category(name, cat)) a[cat] = require_num(obj, name);
   }
   return a;
-}
-
-simt::RobustnessCounters parse_robustness(const JsonObject& rec) {
-  simt::RobustnessCounters r;
-  const auto rb = num_map(rec, "robustness");
-  r.launches_attempted = opt_u64(rb, "launches_attempted");
-  r.refused_pool = opt_u64(rb, "refused_pool");
-  r.refused_depth = opt_u64(rb, "refused_depth");
-  r.refused_heap = opt_u64(rb, "refused_heap");
-  r.faults_injected = opt_u64(rb, "faults_injected");
-  r.retries = opt_u64(rb, "retries");
-  r.degraded = opt_u64(rb, "degraded");
-  return r;
 }
 
 }  // namespace
@@ -667,7 +575,7 @@ std::string to_json(const SuiteProfile& profile) {
            ", \"node\": " + json_num(e.node) + "}";
   }
   out += "\n  ],\n";
-  // Schema v2: critical-path decomposition (see src/simt/critpath.h).
+  // Critical-path decomposition (see src/simt/critpath.h).
   const std::size_t chain_total = p.crit_chain.size();
   const std::size_t chain_from =
       chain_total > kMaxSerializedChain ? chain_total - kMaxSerializedChain
@@ -719,186 +627,95 @@ std::string to_json(const SuiteProfile& profile) {
 
 SuiteProfile parse_profile_json(const std::string& text) {
   const JsonValue doc = parse_json(text);
-  if (!doc.is_object()) {
-    throw std::runtime_error("profile JSON root is not an object");
-  }
-  const JsonObject& root = doc.object();
-  const int version = static_cast<int>(require_num(root, "schema_version"));
-  if (version < kMinProfileSchemaVersion || version > kProfileSchemaVersion) {
-    throw std::runtime_error(
-        "profile JSON schema_version " + std::to_string(version) +
-        " is outside the supported range " +
-        std::to_string(kMinProfileSchemaVersion) + ".." +
-        std::to_string(kProfileSchemaVersion) +
-        " (regenerate the file with this build's nestpar_bench)");
-  }
+  const JsonObject& root = as_object(doc, "profile JSON root");
+  check_schema_version(root, "profile", kProfileSchemaVersion);
   SuiteProfile profile;
-  profile.schema_version = version;
   profile.suite = require_str(root, "suite");
   simt::ProfileSnapshot& p = profile.prof;
   p.total_cycles = require_num(root, "total_cycles");
-  p.reports = static_cast<std::uint64_t>(require_num(root, "reports"));
-  p.grids = static_cast<std::uint64_t>(require_num(root, "grids"));
-  p.device_grids =
-      static_cast<std::uint64_t>(require_num(root, "device_grids"));
+  p.reports = require_u64(root, "reports");
+  p.grids = require_u64(root, "grids");
+  p.device_grids = require_u64(root, "device_grids");
   p.depth_grids = parse_u32_map(root, "depth_grids");
 
-  const JsonValue& kernels = require(root, "kernels");
-  if (!kernels.is_array()) {
-    throw std::runtime_error("profile JSON 'kernels' is not an array");
-  }
-  for (const JsonValue& item : kernels.array()) {
-    if (!item.is_object()) {
-      throw std::runtime_error("profile JSON kernel entry is not an object");
-    }
-    const JsonObject& rec = item.object();
+  for (const JsonValue& item : require_arr(root, "kernels")) {
+    const JsonObject& rec = as_object(item, "profile JSON kernel entry");
     simt::KernelProfile k;
     k.name = require_str(rec, "name");
-    k.invocations =
-        static_cast<std::uint64_t>(require_num(rec, "invocations"));
+    k.invocations = require_u64(rec, "invocations");
     k.busy_cycles = require_num(rec, "busy_cycles");
     k.launch_max_cycles = require_num(rec, "launch_max_cycles");
     k.launch_mean_cycles = require_num(rec, "launch_mean_cycles");
-    k.block_cycles = parse_hist(rec, "block_cycles");
-    k.child_grid_blocks = parse_hist(rec, "child_grid_blocks");
+    k.block_cycles = parse_hist(require_obj(rec, "block_cycles"));
+    k.child_grid_blocks = parse_hist(require_obj(rec, "child_grid_blocks"));
     for (const auto& [slot, n] : num_map(rec, "lane_hist")) {
-      const int s = std::stoi(slot);
-      if (s >= 0 && s < simt::kLaneHistSlots) {
+      const std::uint32_t s = parse_index_key(slot);
+      if (s < simt::kLaneHistSlots) {
         k.lane_hist[s] = static_cast<std::uint64_t>(n);
       }
     }
-    k.warp_steps = static_cast<std::uint64_t>(require_num(rec, "warp_steps"));
-    k.active_lane_ops =
-        static_cast<std::uint64_t>(require_num(rec, "active_lane_ops"));
+    k.warp_steps = require_u64(rec, "warp_steps");
+    k.active_lane_ops = require_u64(rec, "active_lane_ops");
     k.nest_depth_grids = parse_u32_map(rec, "nest_depths");
     k.robustness = parse_robustness(rec);
     p.kernels.push_back(std::move(k));
   }
 
-  const auto tracks = root.find("tracks");
-  if (tracks != root.end()) {
-    if (!tracks->second.is_object()) {
-      throw std::runtime_error("profile JSON 'tracks' is not an object");
-    }
-    for (const auto& [name, hist] : tracks->second.object()) {
-      if (!hist.is_object()) {
-        throw std::runtime_error("profile JSON track '" + name +
-                                 "' is not an object");
-      }
-      JsonObject wrapper;
-      wrapper.emplace("h", hist);
-      p.tracks[name] = parse_hist(wrapper, "h");
-    }
+  for (const auto& [name, hist] : require_obj(root, "tracks")) {
+    p.tracks[name] =
+        parse_hist(as_object(hist, "profile JSON track '" + name + "'"));
+  }
+  for (const JsonValue& item : require_arr(root, "counters")) {
+    const JsonObject& rec = as_object(item, "profile JSON counter");
+    p.counters.push_back(simt::CounterSample{require_str(rec, "track"),
+                                             require_num(rec, "value"),
+                                             require_u64(rec, "node")});
+  }
+  for (const JsonValue& item : require_arr(root, "instants")) {
+    const JsonObject& rec = as_object(item, "profile JSON instant");
+    p.instants.push_back(simt::InstantSample{require_str(rec, "name"),
+                                             require_str(rec, "cat"),
+                                             require_u64(rec, "node")});
   }
 
-  const auto counters = root.find("counters");
-  if (counters != root.end()) {
-    if (!counters->second.is_array()) {
-      throw std::runtime_error("profile JSON 'counters' is not an array");
+  const JsonObject& cp = require_obj(root, "critical_path");
+  p.crit_chain_makespan = require_num(cp, "makespan");
+  for (const JsonValue& item : require_arr(cp, "chain")) {
+    const JsonObject& rec = as_object(item, "profile JSON chain segment");
+    simt::CritSegment seg;
+    seg.kernel = require_str(rec, "kernel");
+    seg.node = static_cast<std::uint32_t>(require_u64(rec, "node"));
+    seg.depth = static_cast<std::uint32_t>(require_u64(rec, "depth"));
+    const std::string cat = require_str(rec, "category");
+    if (!simt::parse_crit_category(cat, seg.category)) {
+      throw std::runtime_error("profile JSON unknown chain category '" + cat +
+                               "'");
     }
-    for (const JsonValue& item : counters->second.array()) {
-      const JsonObject& rec = item.object();
-      p.counters.push_back(simt::CounterSample{
-          require_str(rec, "track"), require_num(rec, "value"),
-          static_cast<std::uint64_t>(require_num(rec, "node"))});
-    }
+    seg.begin = require_num(rec, "begin");
+    seg.cycles = require_num(rec, "cycles");
+    p.crit_chain.push_back(std::move(seg));
+  }
+  for (const auto& [stack, cycles] : num_map(cp, "folded")) {
+    p.crit_folded[stack] = cycles;
   }
 
-  const auto instants = root.find("instants");
-  if (instants != root.end()) {
-    if (!instants->second.is_array()) {
-      throw std::runtime_error("profile JSON 'instants' is not an array");
-    }
-    for (const JsonValue& item : instants->second.array()) {
-      const JsonObject& rec = item.object();
-      p.instants.push_back(simt::InstantSample{
-          require_str(rec, "name"), require_str(rec, "cat"),
-          static_cast<std::uint64_t>(require_num(rec, "node"))});
-    }
-  }
-
-  // Schema v2 sections; absent in v1 files, which read back empty.
-  const auto critical = root.find("critical_path");
-  if (critical != root.end()) {
-    if (!critical->second.is_object()) {
-      throw std::runtime_error(
-          "profile JSON 'critical_path' is not an object");
-    }
-    const JsonObject& cp = critical->second.object();
-    p.crit_chain_makespan = require_num(cp, "makespan");
-    const JsonValue& chain = require(cp, "chain");
-    if (!chain.is_array()) {
-      throw std::runtime_error("profile JSON 'chain' is not an array");
-    }
-    for (const JsonValue& item : chain.array()) {
-      const JsonObject& rec = item.object();
-      simt::CritSegment seg;
-      seg.kernel = require_str(rec, "kernel");
-      seg.node = static_cast<std::uint32_t>(require_num(rec, "node"));
-      seg.depth = static_cast<std::uint32_t>(require_num(rec, "depth"));
-      const std::string cat = require_str(rec, "category");
-      if (!simt::parse_crit_category(cat, seg.category)) {
-        throw std::runtime_error("profile JSON unknown chain category '" +
-                                 cat + "'");
-      }
-      seg.begin = require_num(rec, "begin");
-      seg.cycles = require_num(rec, "cycles");
-      p.crit_chain.push_back(std::move(seg));
-    }
-    for (const auto& [stack, cycles] : num_map(cp, "folded")) {
-      p.crit_folded[stack] = cycles;
-    }
-  }
-  const auto attribution = root.find("attribution");
-  if (attribution != root.end()) {
-    if (!attribution->second.is_object()) {
-      throw std::runtime_error("profile JSON 'attribution' is not an object");
-    }
-    const JsonObject& attr = attribution->second.object();
-    p.crit_total = parse_crit_attr(attr, "total");
-    const auto kernels_attr = attr.find("kernels");
-    if (kernels_attr != attr.end()) {
-      if (!kernels_attr->second.is_object()) {
-        throw std::runtime_error(
-            "profile JSON attribution 'kernels' is not an object");
-      }
-      JsonObject wrapper;
-      for (const auto& [name, value] : kernels_attr->second.object()) {
-        wrapper.clear();
-        wrapper.emplace("a", value);
-        p.crit_kernels[name] = parse_crit_attr(wrapper, "a");
-      }
-    }
+  const JsonObject& attr = require_obj(root, "attribution");
+  p.crit_total = parse_crit_attr(require_obj(attr, "total"));
+  for (const auto& [name, value] : require_obj(attr, "kernels")) {
+    p.crit_kernels[name] = parse_crit_attr(
+        as_object(value, "profile JSON attribution '" + name + "'"));
   }
   return profile;
 }
 
 std::string write_profile_file(const SuiteProfile& profile,
                                const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    throw std::runtime_error("cannot create profile directory '" + dir +
-                             "': " + ec.message());
-  }
-  const std::string path = dir + "/PROF_" + profile.suite + ".json";
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f << to_json(profile);
-  if (!f) throw std::runtime_error("write to '" + path + "' failed");
-  return path;
+  return write_file(dir, "PROF_" + profile.suite + ".json", "profile",
+                    to_json(profile));
 }
 
 SuiteProfile load_profile_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open profile file '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  try {
-    return parse_profile_json(buf.str());
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return load_file(path, "profile", &parse_profile_json);
 }
 
 bool CompareReport::has_regression() const {
@@ -964,24 +781,18 @@ CompareReport compare_results(const SuiteResult& baseline,
     }
     ++report.matched;
     const Measurement& c = *it->second;
-    diff_metric(report, baseline.suite, key, "cycles", b.cycles, c.cycles,
-                +1, opt.threshold);
-    diff_metric(report, baseline.suite, key, "warp_efficiency",
-                b.warp_efficiency, c.warp_efficiency, -1, opt.threshold);
-    diff_metric(report, baseline.suite, key, "device_launches",
-                static_cast<double>(b.device_launches),
-                static_cast<double>(c.device_launches), +1, opt.threshold);
-    diff_metric(report, baseline.suite, key, "host_launches",
-                static_cast<double>(b.host_launches),
-                static_cast<double>(c.host_launches), +1, opt.threshold);
-    diff_metric(report, baseline.suite, key, "degraded",
-                static_cast<double>(b.robustness.degraded),
-                static_cast<double>(c.robustness.degraded), +1,
-                opt.threshold);
-    diff_metric(report, baseline.suite, key, "refused",
-                static_cast<double>(b.robustness.refused_total()),
-                static_cast<double>(c.robustness.refused_total()), +1,
-                opt.threshold);
+    const auto gate = [&](const std::string& metric, double bv, double cv,
+                          int bad_direction) {
+      diff_metric(report, baseline.suite, key, metric, bv, cv, bad_direction,
+                  opt.threshold);
+    };
+    gate("cycles", b.cycles, c.cycles, +1);
+    gate("warp_efficiency", b.warp_efficiency, c.warp_efficiency, -1);
+    gate("device_launches", b.device_launches, c.device_launches, +1);
+    gate("host_launches", b.host_launches, c.host_launches, +1);
+    gate("degraded", b.robustness.degraded, c.robustness.degraded, +1);
+    gate("refused", b.robustness.refused_total(),
+         c.robustness.refused_total(), +1);
   }
   for (const Measurement& c : current.measurements) {
     if (!baseline_keys.count(c.key())) ++report.added;
@@ -1008,107 +819,75 @@ CompareReport compare_serve(const SuiteResult& baseline,
     }
     ++report.matched;
     const ServeRecord& c = *it->second;
+    const serve::ServeStats& bs = b.stats;
+    const serve::ServeStats& cs = c.stats;
     const std::string suite = baseline.suite + " [serve]";
-    diff_metric(report, suite, key, "wrong", static_cast<double>(b.wrong),
-                static_cast<double>(c.wrong), +1, opt.threshold);
-    diff_metric(report, suite, key, "ok", static_cast<double>(b.ok),
-                static_cast<double>(c.ok), -1, opt.threshold);
-    diff_metric(report, suite, key, "expired",
-                static_cast<double>(b.expired), static_cast<double>(c.expired),
-                +1, opt.threshold);
-    diff_metric(report, suite, key, "shed", static_cast<double>(b.shed),
-                static_cast<double>(c.shed), +1, opt.threshold);
-    diff_metric(report, suite, key, "retries",
-                static_cast<double>(b.retries), static_cast<double>(c.retries),
-                +1, opt.threshold);
-    diff_metric(report, suite, key, "breaker_trips",
-                static_cast<double>(b.breaker_trips),
-                static_cast<double>(c.breaker_trips), +1, opt.threshold);
-    diff_metric(report, suite, key, "faults_injected",
-                static_cast<double>(b.faults_injected),
-                static_cast<double>(c.faults_injected), +1, opt.threshold);
-    diff_metric(report, suite, key, "p50_us", b.p50_us, c.p50_us, +1,
-                opt.threshold);
-    diff_metric(report, suite, key, "p99_us", b.p99_us, c.p99_us, +1,
-                opt.threshold);
-    diff_metric(report, suite, key, "qps_ok", b.qps_ok, c.qps_ok, -1,
-                opt.threshold);
+    const auto gate = [&](const std::string& metric, double bv, double cv,
+                          int bad_direction) {
+      diff_metric(report, suite, key, metric, bv, cv, bad_direction,
+                  opt.threshold);
+    };
+    gate("wrong", bs.wrong, cs.wrong, +1);
+    gate("ok", bs.ok, cs.ok, -1);
+    gate("expired", bs.expired, cs.expired, +1);
+    gate("shed", bs.shed, cs.shed, +1);
+    gate("retries", bs.retries, cs.retries, +1);
+    gate("breaker_trips", bs.breaker_trips, cs.breaker_trips, +1);
+    gate("faults_injected", bs.faults_injected, cs.faults_injected, +1);
+    gate("p50_us", bs.p50_us, cs.p50_us, +1);
+    gate("p99_us", bs.p99_us, cs.p99_us, +1);
+    gate("qps_ok", bs.qps_ok, cs.qps_ok, -1);
     // Tail-latency attribution: growth in any single phase's share is a
     // regression even when the total p99 held (it means time moved between
     // phases — a scheduling change worth a look).
-    diff_metric(report, suite, key, "p99_queue_us", b.p99_queue_us,
-                c.p99_queue_us, +1, opt.threshold);
-    diff_metric(report, suite, key, "p99_batch_us", b.p99_batch_us,
-                c.p99_batch_us, +1, opt.threshold);
-    diff_metric(report, suite, key, "p99_exec_us", b.p99_exec_us,
-                c.p99_exec_us, +1, opt.threshold);
-    diff_metric(report, suite, key, "p99_retry_us", b.p99_retry_us,
-                c.p99_retry_us, +1, opt.threshold);
-    // Device-cost attribution (schema v3): total modeled device cycles and
-    // launches are pure functions of the schedule, so they gate two-sided —
-    // any drift means the scheduled work changed. Per-tenant rollups match
-    // by tenant id; a tenant the current run dropped diffs against zero.
-    diff_metric(report, suite, key, "device_cycles_total",
-                b.device_cycles_total, c.device_cycles_total, 0,
-                opt.threshold);
-    diff_metric(report, suite, key, "fault_device_cycles_total",
-                b.fault_device_cycles_total, c.fault_device_cycles_total, 0,
-                opt.threshold);
-    diff_metric(report, suite, key, "launches_total",
-                static_cast<double>(b.launches_total),
-                static_cast<double>(c.launches_total), 0, opt.threshold);
-    for (const ServeTenant& bt : b.tenants) {
-      const ServeTenant* ct = nullptr;
-      for (const ServeTenant& cand : c.tenants) {
+    gate("p99_queue_us", bs.p99_queue_us, cs.p99_queue_us, +1);
+    gate("p99_batch_us", bs.p99_batch_us, cs.p99_batch_us, +1);
+    gate("p99_exec_us", bs.p99_exec_us, cs.p99_exec_us, +1);
+    gate("p99_retry_us", bs.p99_retry_us, cs.p99_retry_us, +1);
+    // Device-cost attribution: total modeled device cycles and launches are
+    // pure functions of the schedule, so they gate two-sided — any drift
+    // means the scheduled work changed. Per-tenant rollups match by tenant
+    // id; a tenant the current run dropped diffs against zero.
+    gate("device_cycles_total", bs.device_cycles_total,
+         cs.device_cycles_total, 0);
+    gate("fault_device_cycles_total", bs.fault_device_cycles_total,
+         cs.fault_device_cycles_total, 0);
+    gate("launches_total", bs.launches_total, cs.launches_total, 0);
+    for (const serve::TenantUsage& bt : b.tenants) {
+      serve::TenantUsage cv;
+      for (const serve::TenantUsage& cand : c.tenants) {
         if (cand.tenant == bt.tenant) {
-          ct = &cand;
+          cv = cand;
           break;
         }
       }
-      const ServeTenant zero{bt.tenant, 0, 0, 0, 0, 0.0, 0.0};
-      const ServeTenant& cv = ct ? *ct : zero;
-      const std::string prefix =
-          "tenant/" + std::to_string(bt.tenant) + "/";
-      diff_metric(report, suite, key, prefix + "requests",
-                  static_cast<double>(bt.requests),
-                  static_cast<double>(cv.requests), 0, opt.threshold);
-      diff_metric(report, suite, key, prefix + "ok",
-                  static_cast<double>(bt.ok), static_cast<double>(cv.ok), 0,
-                  opt.threshold);
-      diff_metric(report, suite, key, prefix + "launches",
-                  static_cast<double>(bt.launches),
-                  static_cast<double>(cv.launches), 0, opt.threshold);
-      diff_metric(report, suite, key, prefix + "retries",
-                  static_cast<double>(bt.retries),
-                  static_cast<double>(cv.retries), 0, opt.threshold);
-      diff_metric(report, suite, key, prefix + "device_cycles",
-                  bt.device_cycles, cv.device_cycles, 0, opt.threshold);
-      diff_metric(report, suite, key, prefix + "fault_device_cycles",
-                  bt.fault_device_cycles, cv.fault_device_cycles, 0,
-                  opt.threshold);
+      const std::string prefix = "tenant/" + std::to_string(bt.tenant) + "/";
+      gate(prefix + "requests", bt.requests, cv.requests, 0);
+      gate(prefix + "ok", bt.ok, cv.ok, 0);
+      gate(prefix + "launches", bt.launches, cv.launches, 0);
+      gate(prefix + "retries", bt.retries, cv.retries, 0);
+      gate(prefix + "device_cycles", bt.device_cycles, cv.device_cycles, 0);
+      gate(prefix + "fault_device_cycles", bt.fault_device_cycles,
+           cv.fault_device_cycles, 0);
     }
     // Telemetry series rollups, two-sided: the series are pure functions of
     // the schedule, so any drift (up or down) in sample count, peak, or mean
     // flags a behavioral change. A series the current run dropped entirely
     // diffs its sample count against zero.
-    for (const ServeSeries& bs : b.telemetry) {
-      const ServeSeries* cs = nullptr;
-      for (const ServeSeries& cand : c.telemetry) {
-        if (cand.name == bs.name) {
-          cs = &cand;
+    for (const serve::TimeSeries& bts : b.telemetry) {
+      const serve::TimeSeries* cts = nullptr;
+      for (const serve::TimeSeries& cand : c.telemetry) {
+        if (cand.name == bts.name) {
+          cts = &cand;
           break;
         }
       }
-      const std::string prefix = "telemetry/" + bs.name + "/";
-      diff_metric(report, suite, key, prefix + "samples",
-                  static_cast<double>(bs.points.size()),
-                  cs ? static_cast<double>(cs->points.size()) : 0.0, 0,
-                  opt.threshold);
-      if (cs != nullptr) {
-        diff_metric(report, suite, key, prefix + "max", bs.max_value(),
-                    cs->max_value(), 0, opt.threshold);
-        diff_metric(report, suite, key, prefix + "mean", bs.mean_value(),
-                    cs->mean_value(), 0, opt.threshold);
+      const std::string prefix = "telemetry/" + bts.name + "/";
+      gate(prefix + "samples", bts.points.size(),
+           cts ? cts->points.size() : 0, 0);
+      if (cts != nullptr) {
+        gate(prefix + "max", bts.max_value(), cts->max_value(), 0);
+        gate(prefix + "mean", bts.mean_value(), cts->mean_value(), 0);
       }
     }
   }

@@ -3,9 +3,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "src/serve/server.h"
+#include "src/serve/telemetry.h"
 #include "src/simt/metrics.h"
 #include "src/simt/profiler.h"
 
@@ -78,11 +79,12 @@ struct Measurement {
   static Measurement from_report(const simt::RunReport& rep);
 
   /// True when a metric name denotes a wall-clock-derived quantity
-  /// ("wall_us", "sim_cycles_per_sec", "cpu_speedup", ...). The serializer
-  /// routes such keys into the `"extra_volatile"` section even when a suite
-  /// put them in `extra`, so a checked-in baseline can never become
-  /// byte-unstable — and the comparator can never gate — on host timing. The
-  /// convention: the name contains "wall" or "cpu_", or ends in "_per_sec".
+  /// ("wall_us", "sim_cycles_per_sec", "cpu_speedup", ...). The BENCH and
+  /// SERVE serializers reject such keys in `extra` and `params` (throwing
+  /// std::invalid_argument naming the key), so a checked-in baseline can
+  /// never become byte-unstable — and the comparator can never gate — on
+  /// host timing. The convention: the name contains "wall" or "cpu_", or
+  /// ends in "_per_sec".
   static bool is_wall_derived(const std::string& metric);
 
   /// Identity within a suite: "tmpl|dataset|scale|k=v,k=v". The comparator
@@ -93,58 +95,15 @@ struct Measurement {
 /// Version of the SERVE_<suite>.json schema (independent of the result
 /// schema; bump on any incompatible layout change). SERVE files carry the
 /// serving runtime's per-scenario outcome records — request counts by
-/// terminal status, retry/hedge/breaker activity, and latency percentiles.
-/// v2 added the p99 latency-attribution split, optional extra/extra_volatile
-/// maps, and optional telemetry time-series; v3 added device-cost
-/// attribution (total modeled device cycles, launch counts, and per-tenant
-/// usage rollups). v1/v2 files still parse (the new sections read back
-/// zero/empty).
+/// terminal status, retry/hedge/breaker activity, latency percentiles with
+/// their p99 phase split, device-cost attribution, per-tenant usage, and
+/// telemetry time-series. `parse_serve_json` rejects any other version.
 inline constexpr int kServeSchemaVersion = 3;
 
-/// Oldest serve schema `parse_serve_json` still accepts.
-inline constexpr int kMinServeSchemaVersion = 1;
-
-/// One telemetry time-series as carried in a SERVE record: the bench-side
-/// mirror of serve::TimeSeries (kept separate so the results pipeline does
-/// not depend on src/serve headers). Points are (virtual µs, value) pairs;
-/// the whole series is deterministic, so the comparator gates its rollups.
-struct ServeSeries {
-  std::string name;
-  std::string unit;
-  std::vector<std::pair<double, double>> points;  ///< (t_us, value).
-
-  /// Rollups the comparator gates (two-sided) per baseline series.
-  double max_value() const {
-    double m = 0.0;
-    for (const auto& [t, v] : points) m = v > m ? v : m;
-    return m;
-  }
-  double mean_value() const {
-    if (points.empty()) return 0.0;
-    double sum = 0.0;
-    for (const auto& [t, v] : points) sum += v;
-    return sum / static_cast<double>(points.size());
-  }
-};
-
-/// Per-tenant device-cost rollup as carried in a SERVE record (schema v3):
-/// the bench-side mirror of serve::TenantUsage. Cycles are modeled device
-/// cycles attributed to the tenant's completed requests by the scheduler's
-/// conservation-exact tiling (simt::attribute_cycles), so the comparator can
-/// gate "which tenant burns the device" exactly like any other metric.
-struct ServeTenant {
-  std::uint32_t tenant = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t launches = 0;
-  std::uint64_t retries = 0;
-  double device_cycles = 0.0;
-  double fault_device_cycles = 0.0;
-};
-
 /// One serving-scenario record: the deterministic outcome of one Server run
-/// (see src/serve/server.h). All counters and percentiles are pure functions
-/// of (config, workload, pool), so the comparator can gate them exactly like
+/// (see src/serve/server.h), held in the serving runtime's own types. All
+/// counters, percentiles, tenant rollups and series are pure functions of
+/// (config, workload, pool), so the comparator can gate them exactly like
 /// the model-side bench metrics.
 struct ServeRecord {
   std::string scenario;  ///< Load point name ("steady", "overload", ...).
@@ -152,61 +111,19 @@ struct ServeRecord {
   /// key, so chaos records never compare against clean baselines.
   std::map<std::string, double> params;
 
-  std::uint64_t submitted = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t wrong = 0;  ///< Verification failures among Ok (must be 0).
-  std::uint64_t attempts = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t hedges = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t degraded = 0;
-  double makespan_us = 0.0;
-  double qps_ok = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  double mean_us = 0.0;
-  double max_us = 0.0;
-
-  /// Tail-latency attribution (schema v2): the queue/batch/exec/retry phase
-  /// shares of the p99 completion, summing to p99_us within rounding. Gated
-  /// by the comparator so a regression shows *where* the tail moved.
-  double p99_queue_us = 0.0;
-  double p99_batch_us = 0.0;
-  double p99_exec_us = 0.0;
-  double p99_retry_us = 0.0;
-
-  /// Device-cost attribution (schema v3; serialized only when the run
-  /// attributed anything, so records from builds without attribution stay
-  /// byte-identical). `device_cycles_total` is the exact fold of every
-  /// completion's attributed cycles in completion order — the conservation
-  /// invariant the comparator and tools/check_trace.py both re-verify.
-  double device_cycles_total = 0.0;
-  double fault_device_cycles_total = 0.0;
-  std::uint64_t launches_total = 0;
-
-  /// Per-tenant usage rollups (schema v3; serialized when non-empty).
-  std::vector<ServeTenant> tenants;
+  serve::ServeStats stats;
+  /// Per-tenant usage rollups (serialized when non-empty).
+  std::vector<serve::TenantUsage> tenants;
 
   /// Informational metrics (serialized when non-empty, never compared).
-  /// Unlike the BENCH serializer — which silently reroutes — the serve
-  /// serializer *rejects* wall-derived keys here and in `params` (throws
-  /// std::invalid_argument naming the key): serve records are pure virtual-
-  /// time artifacts, so a wall-derived key is a bug at the producer, not a
-  /// routing problem.
   std::map<std::string, double> extra;
 
   /// Wall-clock-derived metrics, serialized as `"extra_volatile"` (only when
   /// non-empty) so byte-stability tooling can strip them structurally.
   std::map<std::string, double> volatile_extra;
 
-  /// Telemetry time-series (schema v2; serialized when non-empty).
-  std::vector<ServeSeries> telemetry;
+  /// Telemetry time-series (serialized when non-empty).
+  std::vector<serve::TimeSeries> telemetry;
 
   /// Identity within a suite: "scenario|k=v,k=v".
   std::string key() const;
@@ -260,22 +177,14 @@ std::string write_serve_file(const SuiteResult& result,
 SuiteResult load_serve_file(const std::string& path);
 
 /// Version of the PROF_<suite>.json schema (independent of the result
-/// schema; bump on any incompatible layout change). v2 added the
-/// `critical_path` and `attribution` sections; v1 files still parse (those
-/// sections read back empty).
+/// schema; bump on any incompatible layout change). `parse_profile_json`
+/// rejects any other version.
 inline constexpr int kProfileSchemaVersion = 2;
-
-/// Oldest profile schema `parse_profile_json` still accepts.
-inline constexpr int kMinProfileSchemaVersion = 1;
 
 /// One suite's profile: the simt::Profiler snapshot taken right after the
 /// suite ran with profiling on, written as one `PROF_<suite>.json` file.
 struct SuiteProfile {
   std::string suite;  ///< Registry name, also the JSON file stem.
-  /// Schema version the file was written under (parse sets it; to_json
-  /// always writes the current kProfileSchemaVersion). Lets consumers such
-  /// as `nestpar_prof --diff` note an upgraded baseline instead of guessing.
-  int schema_version = kProfileSchemaVersion;
   simt::ProfileSnapshot prof;
 };
 
@@ -335,10 +244,11 @@ CompareReport compare_results(const SuiteResult& baseline,
 /// Match serving records by ServeRecord::key() and diff the outcome metrics.
 /// Wrong results, expirations, sheds, retries, breaker trips, fault activity,
 /// or latency percentiles going *up* — or Ok count / Ok throughput going
-/// *down* — beyond `threshold` count as regressions. The v2 sections gate
-/// too: each p99 attribution share going up, and any telemetry series whose
-/// sample count, max, or mean drifts in *either* direction (the series are
-/// bit-stable, so any drift is a determinism or scheduling change).
+/// *down* — beyond `threshold` count as regressions, as does each p99
+/// attribution share going up. Device-cost totals, tenant rollups, and any
+/// telemetry series whose sample count, max, or mean drifts gate in *either*
+/// direction (they are bit-stable, so any drift is a determinism or
+/// scheduling change).
 CompareReport compare_serve(const SuiteResult& baseline,
                             const SuiteResult& current,
                             const CompareOptions& opt);

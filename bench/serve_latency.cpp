@@ -29,72 +29,6 @@ struct Scenario {
   double qps;
 };
 
-std::vector<bench::ServeSeries> to_series(const serve::Telemetry& telemetry) {
-  std::vector<bench::ServeSeries> out;
-  out.reserve(telemetry.series().size());
-  for (const serve::TimeSeries& ts : telemetry.series()) {
-    bench::ServeSeries s;
-    s.name = ts.name;
-    s.unit = ts.unit;
-    s.points.reserve(ts.points.size());
-    for (const serve::TimePoint& p : ts.points) {
-      s.points.emplace_back(p.t_us, p.value);
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-bench::ServeRecord to_record(const serve::ServeStats& s) {
-  bench::ServeRecord r;
-  r.submitted = s.submitted;
-  r.ok = s.ok;
-  r.expired = s.expired;
-  r.shed = s.shed;
-  r.wrong = s.wrong;
-  r.attempts = s.attempts;
-  r.retries = s.retries;
-  r.hedges = s.hedges;
-  r.batches = s.batches;
-  r.probes = s.probes;
-  r.breaker_trips = s.breaker_trips;
-  r.faults_injected = s.faults_injected;
-  r.degraded = s.degraded;
-  r.makespan_us = s.makespan_us;
-  r.qps_ok = s.qps_ok;
-  r.p50_us = s.p50_us;
-  r.p95_us = s.p95_us;
-  r.p99_us = s.p99_us;
-  r.mean_us = s.mean_us;
-  r.max_us = s.max_us;
-  r.p99_queue_us = s.p99_queue_us;
-  r.p99_batch_us = s.p99_batch_us;
-  r.p99_exec_us = s.p99_exec_us;
-  r.p99_retry_us = s.p99_retry_us;
-  r.device_cycles_total = s.device_cycles_total;
-  r.fault_device_cycles_total = s.fault_device_cycles_total;
-  r.launches_total = s.launches_total;
-  return r;
-}
-
-std::vector<bench::ServeTenant> to_tenants(
-    const std::vector<serve::TenantUsage>& usage) {
-  std::vector<bench::ServeTenant> out;
-  out.reserve(usage.size());
-  for (const serve::TenantUsage& u : usage) {
-    bench::ServeTenant t;
-    t.tenant = u.tenant;
-    t.requests = u.requests;
-    t.ok = u.ok;
-    t.launches = u.launches;
-    t.retries = u.retries;
-    t.device_cycles = u.device_cycles;
-    t.fault_device_cycles = u.fault_device_cycles;
-    out.push_back(t);
-  }
-  return out;
-}
-
 int run(const bench::Args& args, bench::SuiteResult& out) {
   const auto requests = static_cast<int>(args.get_int("requests", 400));
   const double qps = args.get_double("qps", 3000.0);
@@ -150,10 +84,11 @@ int run(const bench::Args& args, bench::SuiteResult& out) {
                       bench::fmt(stats.p50_us, 0), bench::fmt(stats.p99_us, 0),
                       bench::fmt(stats.qps_ok, 0)});
 
-    bench::ServeRecord rec = to_record(stats);
-    rec.tenants = to_tenants(server.tenant_usage());
-    rec.telemetry = to_series(server.telemetry());
+    bench::ServeRecord rec;
     rec.scenario = sc.name;
+    rec.stats = stats;
+    rec.tenants = server.tenant_usage();
+    rec.telemetry = server.telemetry().series();
     rec.params["requests"] = requests;
     rec.params["qps"] = sc.qps;
     rec.params["shards"] = cfg.num_shards;

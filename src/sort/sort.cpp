@@ -262,12 +262,8 @@ Kernel make_advanced_qs_kernel(std::shared_ptr<const AqsCtx> ctx,
 
     // Block-parallel three-way partition through the aux buffer.
     auto counts = blk.shared_array<std::int64_t>(2);  // [less, greater]
-    const int pivot = std::max({d[lo], d[(lo + hi) / 2], d[hi]}) ==
-                              std::min({d[lo], d[(lo + hi) / 2], d[hi]})
-                          ? d[(lo + hi) / 2]
-                          : d[lo] + d[(lo + hi) / 2] + d[hi] -
-                                std::max({d[lo], d[(lo + hi) / 2], d[hi]}) -
-                                std::min({d[lo], d[(lo + hi) / 2], d[hi]});
+    const int a = d[lo], b = d[(lo + hi) / 2], c = d[hi];
+    const int pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
     int* aux = ctx->aux;
     blk.each_thread([&](LaneCtx& t) {
       // Median-of-three pivot loads.

@@ -1,10 +1,17 @@
 // Tests for the benchmark results pipeline (bench/results.{h,cpp}) and the
 // bench::Args flag parser: JSON round-trip fidelity, schema-version
-// rejection, regression detection in the comparator, and flag semantics.
+// rejection, byte identity and mutation robustness on the checked-in
+// baselines, regression detection in the comparator, and flag semantics.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -135,15 +142,13 @@ TEST(BenchResults, KeyIncludesParams) {
 }
 
 // ---------------------------------------------------------------------------
-// SERVE documents (schema v2): round-trip, wall-derived rejection,
-// back-compat, and the observability-metric gating in compare_serve.
+// SERVE documents: round-trip, wall-derived rejection, schema-version
+// rejection, and the observability-metric gating in compare_serve.
 
 using nestpar::bench::compare_serve;
-using nestpar::bench::kMinServeSchemaVersion;
 using nestpar::bench::kServeSchemaVersion;
 using nestpar::bench::parse_serve_json;
 using nestpar::bench::ServeRecord;
-using nestpar::bench::ServeSeries;
 using nestpar::bench::to_serve_json;
 
 SuiteResult sample_serve_result() {
@@ -154,60 +159,61 @@ SuiteResult sample_serve_result() {
   rec.scenario = "steady";
   rec.params["qps"] = 8000;
   rec.params["shards"] = 3;
-  rec.submitted = 80;
-  rec.ok = 78;
-  rec.expired = 1;
-  rec.shed = 1;
-  rec.attempts = 85;
-  rec.retries = 7;
-  rec.batches = 40;
-  rec.makespan_us = 10500.0;
-  rec.qps_ok = 7428.5;
-  rec.p50_us = 250.0;
-  rec.p95_us = 380.0;
-  rec.p99_us = 410.0;
-  rec.mean_us = 280.0;
-  rec.max_us = 410.0;
-  rec.p99_queue_us = 200.0;
-  rec.p99_batch_us = 5.0;
-  rec.p99_exec_us = 195.0;
-  rec.p99_retry_us = 10.0;
+  nestpar::serve::ServeStats& s = rec.stats;
+  s.submitted = 80;
+  s.ok = 78;
+  s.expired = 1;
+  s.shed = 1;
+  s.attempts = 85;
+  s.retries = 7;
+  s.batches = 40;
+  s.makespan_us = 10500.0;
+  s.qps_ok = 7428.5;
+  s.p50_us = 250.0;
+  s.p95_us = 380.0;
+  s.p99_us = 410.0;
+  s.mean_us = 280.0;
+  s.max_us = 410.0;
+  s.p99_queue_us = 200.0;
+  s.p99_batch_us = 5.0;
+  s.p99_exec_us = 195.0;
+  s.p99_retry_us = 10.0;
   rec.extra["deadline_budget_burn"] = 0.12;
   rec.volatile_extra["wall_elapsed_ms"] = 12.5;
-  ServeSeries s;
-  s.name = "shard0/queue_depth";
-  s.unit = "queries";
-  s.points = {{0.0, 0.0}, {1000.0, 2.0}, {2000.0, 1.0}};
-  rec.telemetry.push_back(s);
+  nestpar::serve::TimeSeries ts;
+  ts.name = "shard0/queue_depth";
+  ts.unit = "queries";
+  ts.points = {{0.0, 0.0}, {1000.0, 2.0}, {2000.0, 1.0}};
+  rec.telemetry.push_back(ts);
   r.serve.push_back(std::move(rec));
   return r;
 }
 
-TEST(ServeResults, V2RoundTripPreservesObservabilityFields) {
+TEST(ServeResults, RoundTripPreservesObservabilityFields) {
   const SuiteResult original = sample_serve_result();
   const SuiteResult parsed = parse_serve_json(to_serve_json(original));
   ASSERT_EQ(parsed.serve.size(), 1u);
   const ServeRecord& r = parsed.serve[0];
-  EXPECT_EQ(r.p99_queue_us, 200.0);
-  EXPECT_EQ(r.p99_batch_us, 5.0);
-  EXPECT_EQ(r.p99_exec_us, 195.0);
-  EXPECT_EQ(r.p99_retry_us, 10.0);
+  EXPECT_EQ(r.stats.p99_queue_us, 200.0);
+  EXPECT_EQ(r.stats.p99_batch_us, 5.0);
+  EXPECT_EQ(r.stats.p99_exec_us, 195.0);
+  EXPECT_EQ(r.stats.p99_retry_us, 10.0);
   EXPECT_EQ(r.extra.at("deadline_budget_burn"), 0.12);
   EXPECT_EQ(r.volatile_extra.at("wall_elapsed_ms"), 12.5);
   ASSERT_EQ(r.telemetry.size(), 1u);
   EXPECT_EQ(r.telemetry[0].name, "shard0/queue_depth");
   EXPECT_EQ(r.telemetry[0].unit, "queries");
   ASSERT_EQ(r.telemetry[0].points.size(), 3u);
-  EXPECT_EQ(r.telemetry[0].points[1].first, 1000.0);
-  EXPECT_EQ(r.telemetry[0].points[1].second, 2.0);
+  EXPECT_EQ(r.telemetry[0].points[1].t_us, 1000.0);
+  EXPECT_EQ(r.telemetry[0].points[1].value, 2.0);
   // And the document is byte-stable through a round trip.
   EXPECT_EQ(to_serve_json(original), to_serve_json(parsed));
 }
 
 TEST(ServeResults, SerializerRejectsUnlabeledWallDerivedKeys) {
-  // Unlike the BENCH serializer (which reroutes), the serve serializer
-  // throws: serve records are baseline-pinned, so a wall-derived key in a
-  // deterministic section is a bug at the call site, not a salvage case.
+  // Both serializers throw: records are baseline-pinned, so a wall-derived
+  // key in a deterministic section is a bug at the call site, not a salvage
+  // case.
   SuiteResult r = sample_serve_result();
   r.serve[0].extra["wall_elapsed_ms"] = 3.0;
   EXPECT_THROW(to_serve_json(r), std::invalid_argument);
@@ -224,11 +230,28 @@ TEST(ServeResults, SerializerRejectsUnlabeledWallDerivedKeys) {
   r = sample_serve_result();
   r.serve[0].volatile_extra["ops_per_sec"] = 100.0;
   EXPECT_NO_THROW(to_serve_json(r));
+
+  // The BENCH serializer applies the same rule.
+  SuiteResult b = sample_result();
+  b.measurements[0].extra["wall_us"] = 3.0;
+  EXPECT_THROW(to_json(b), std::invalid_argument);
+
+  b = sample_result();
+  b.measurements[1].extra["sim_cycles_per_sec"] = 1e6;
+  EXPECT_THROW(to_json(b), std::invalid_argument);
+
+  b = sample_result();
+  b.measurements[0].params["cpu_threads"] = 4.0;
+  EXPECT_THROW(to_json(b), std::invalid_argument);
+
+  b = sample_result();
+  b.measurements[0].volatile_extra["wall_us"] = 3.0;
+  EXPECT_NO_THROW(to_json(b));
 }
 
-TEST(ServeResults, ParsesV1DocumentsWithoutNewSections) {
-  // A v1 file (no p99_split/extra/telemetry) must still parse, with the new
-  // fields reading back zero/empty.
+TEST(ServeResults, RejectsOlderSchemaVersions) {
+  // Files are regenerated, never migrated: v1 (no p99_split) and v2 (no
+  // device-cost attribution) documents are refused with the version named.
   const std::string v1 =
       "{\n"
       "  \"schema_version\": 1,\n"
@@ -248,27 +271,38 @@ TEST(ServeResults, ParsesV1DocumentsWithoutNewSections) {
       "     \"p50_us\": 100, \"p95_us\": 150, \"p99_us\": 160, "
       "\"mean_us\": 110, \"max_us\": 160}\n"
       "  ]\n}\n";
-  const SuiteResult parsed = parse_serve_json(v1);
-  ASSERT_EQ(parsed.serve.size(), 1u);
-  EXPECT_EQ(parsed.serve[0].p99_queue_us, 0.0);
-  EXPECT_TRUE(parsed.serve[0].extra.empty());
-  EXPECT_TRUE(parsed.serve[0].telemetry.empty());
-
-  // Out-of-range versions still reject.
-  std::string bad = v1;
   const std::string needle = "\"schema_version\": 1";
-  bad.replace(bad.find(needle), needle.size(), "\"schema_version\": 999");
-  EXPECT_THROW(parse_serve_json(bad), std::runtime_error);
-  EXPECT_GE(kServeSchemaVersion, kMinServeSchemaVersion);
+  for (const char* version : {"1", "2", "999"}) {
+    SCOPED_TRACE(version);
+    std::string doc = v1;
+    doc.replace(doc.find(needle), needle.size(),
+                std::string("\"schema_version\": ") + version);
+    try {
+      (void)parse_serve_json(doc);
+      ADD_FAILURE() << "schema_version " << version << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("schema_version ") + version + " "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The current version parses as soon as the document carries its
+  // sections.
+  std::string current = to_serve_json(sample_serve_result());
+  EXPECT_NE(current.find("\"schema_version\": " +
+                         std::to_string(kServeSchemaVersion)),
+            std::string::npos);
+  EXPECT_NO_THROW((void)parse_serve_json(current));
 }
 
-SuiteResult sample_serve_result_v3() {
+SuiteResult sample_serve_result_with_tenants() {
   SuiteResult r = sample_serve_result();
   ServeRecord& rec = r.serve[0];
-  rec.device_cycles_total = 2522737.25;
-  rec.fault_device_cycles_total = 1204.5;
-  rec.launches_total = 538;
-  nestpar::bench::ServeTenant t0;
+  rec.stats.device_cycles_total = 2522737.25;
+  rec.stats.fault_device_cycles_total = 1204.5;
+  rec.stats.launches_total = 538;
+  nestpar::serve::TenantUsage t0;
   t0.tenant = 0;
   t0.requests = 41;
   t0.ok = 40;
@@ -276,7 +310,7 @@ SuiteResult sample_serve_result_v3() {
   t0.retries = 3;
   t0.device_cycles = 1500000.125;
   t0.fault_device_cycles = 1000.25;
-  nestpar::bench::ServeTenant t1;
+  nestpar::serve::TenantUsage t1;
   t1.tenant = 2;
   t1.requests = 39;
   t1.ok = 38;
@@ -288,17 +322,17 @@ SuiteResult sample_serve_result_v3() {
   return r;
 }
 
-TEST(ServeResults, V3RoundTripPreservesAttributionFields) {
-  const SuiteResult original = sample_serve_result_v3();
+TEST(ServeResults, RoundTripPreservesAttributionFields) {
+  const SuiteResult original = sample_serve_result_with_tenants();
   const SuiteResult parsed = parse_serve_json(to_serve_json(original));
   ASSERT_EQ(parsed.serve.size(), 1u);
   const ServeRecord& r = parsed.serve[0];
   // Doubles survive bit-exactly: json_num serializes with round-trip
   // precision, which is what lets the comparator gate attributed cycles
   // with zero threshold slack.
-  EXPECT_EQ(r.device_cycles_total, 2522737.25);
-  EXPECT_EQ(r.fault_device_cycles_total, 1204.5);
-  EXPECT_EQ(r.launches_total, 538u);
+  EXPECT_EQ(r.stats.device_cycles_total, 2522737.25);
+  EXPECT_EQ(r.stats.fault_device_cycles_total, 1204.5);
+  EXPECT_EQ(r.stats.launches_total, 538u);
   ASSERT_EQ(r.tenants.size(), 2u);
   EXPECT_EQ(r.tenants[0].tenant, 0u);
   EXPECT_EQ(r.tenants[0].requests, 41u);
@@ -311,20 +345,29 @@ TEST(ServeResults, V3RoundTripPreservesAttributionFields) {
   EXPECT_EQ(to_serve_json(original), to_serve_json(parsed));
 }
 
-TEST(ServeResults, RecordsWithoutAttributionStayV2Shaped) {
-  // A producer that never attributed anything must emit no v3 keys at all,
-  // so pre-attribution consumers and byte-diff tooling see nothing new.
+TEST(ServeResults, AttributionTotalsAreAlwaysWritten) {
+  // The device-cost totals are part of every record, zero or not; only the
+  // tenant rollups are omitted when empty.
   const std::string doc = to_serve_json(sample_serve_result());
-  EXPECT_EQ(doc.find("device_cycles_total"), std::string::npos);
+  EXPECT_NE(doc.find("\"device_cycles_total\": 0, "
+                     "\"fault_device_cycles_total\": 0, "
+                     "\"launches_total\": 0"),
+            std::string::npos);
   EXPECT_EQ(doc.find("\"tenants\""), std::string::npos);
   const SuiteResult parsed = parse_serve_json(doc);
-  EXPECT_EQ(parsed.serve[0].device_cycles_total, 0.0);
-  EXPECT_EQ(parsed.serve[0].launches_total, 0u);
+  EXPECT_EQ(parsed.serve[0].stats.device_cycles_total, 0.0);
+  EXPECT_EQ(parsed.serve[0].stats.launches_total, 0u);
   EXPECT_TRUE(parsed.serve[0].tenants.empty());
+
+  // A record missing them is not a current-schema document.
+  std::string bad = doc;
+  const std::string field = "\"launches_total\": 0";
+  bad.replace(bad.find(field), field.size(), "\"launches_totals\": 0");
+  EXPECT_THROW((void)parse_serve_json(bad), std::runtime_error);
 }
 
 TEST(ServeCompare, TenantDriftIsTwoSided) {
-  const SuiteResult baseline = sample_serve_result_v3();
+  const SuiteResult baseline = sample_serve_result_with_tenants();
 
   // Cycles moving *down* for a tenant is still a regression: attribution is
   // deterministic, so drift either way means the schedule changed.
@@ -356,7 +399,7 @@ TEST(ServeCompare, TenantDriftIsTwoSided) {
 
   // Total device cycles gate two-sided as well.
   current = baseline;
-  current.serve[0].device_cycles_total *= 1.1;
+  current.serve[0].stats.device_cycles_total *= 1.1;
   report = compare_serve(baseline, current, CompareOptions{});
   bool total = false;
   for (const auto& d : report.deltas) {
@@ -372,7 +415,7 @@ TEST(ServeCompare, TenantDriftIsTwoSided) {
 TEST(ServeCompare, P99SplitGrowthIsARegression) {
   const SuiteResult baseline = sample_serve_result();
   SuiteResult current = baseline;
-  current.serve[0].p99_queue_us *= 1.5;  // Tail moved into queueing.
+  current.serve[0].stats.p99_queue_us *= 1.5;  // Tail moved into queueing.
   const CompareReport report =
       compare_serve(baseline, current, CompareOptions{});
   EXPECT_TRUE(report.has_regression());
@@ -389,7 +432,7 @@ TEST(ServeCompare, TelemetryDriftIsTwoSided) {
   // Mean moving *down* is still a regression: the series is deterministic,
   // so any drift means the schedule changed.
   SuiteResult current = baseline;
-  for (auto& p : current.serve[0].telemetry[0].points) p.second *= 0.5;
+  for (auto& p : current.serve[0].telemetry[0].points) p.value *= 0.5;
   CompareReport report = compare_serve(baseline, current, CompareOptions{});
   EXPECT_TRUE(report.has_regression());
   bool improvement = false;
@@ -518,6 +561,126 @@ TEST(BenchArgs, ValuelessFlagActsAsBoolean) {
   EXPECT_TRUE(args.get_flag("full"));
   EXPECT_FALSE(args.get_flag("scale"));
   EXPECT_DOUBLE_EQ(args.get_double("scale", 0.25), 0.25);
+}
+
+// ---------------------------------------------------------------------------
+// Checked-in baselines: every file is at the current schema and reproduces
+// itself byte for byte, and no mutation of one escapes the parsers as
+// anything but std::runtime_error.
+
+using nestpar::bench::parse_profile_json;
+
+std::string read_baseline(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f) << path;
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  return buf.str();
+}
+
+/// Parses `text` as the kind its file name announces and serializes it
+/// back; with `parse_only`, stops after the parse and returns "".
+std::string reserialize(const std::string& file, const std::string& text,
+                        bool parse_only = false) {
+  if (file.starts_with("BENCH_")) {
+    const SuiteResult r = parse_result_json(text);
+    return parse_only ? "" : to_json(r);
+  }
+  if (file.starts_with("SERVE_")) {
+    const SuiteResult r = parse_serve_json(text);
+    return parse_only ? "" : to_serve_json(r);
+  }
+  if (file.starts_with("PROF_")) {
+    const nestpar::bench::SuiteProfile p = parse_profile_json(text);
+    return parse_only ? "" : to_json(p);
+  }
+  throw std::logic_error("not a results file: " + file);
+}
+
+TEST(ResultBaselines, ReserializeByteForByte) {
+  int seen = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NESTPAR_BASELINE_DIR)) {
+    const std::string file = entry.path().filename().string();
+    SCOPED_TRACE(file);
+    const std::string text = read_baseline(entry.path());
+    EXPECT_EQ(reserialize(file, text), text);
+    ++seen;
+  }
+  EXPECT_GE(seen, 36);
+}
+
+/// One seeded mutation: flip a bit, overwrite a byte with a JSON-structural
+/// character, delete a short span, or truncate.
+std::string mutate(const std::string& text, std::mt19937_64& rng) {
+  static constexpr char kStructural[] = "{}[]\",:-.0123456789eEtfn ";
+  std::string m = text;
+  const std::size_t pos = rng() % m.size();
+  switch (rng() % 4) {
+    case 0:
+      m[pos] = static_cast<char>(m[pos] ^ (1u << (rng() % 8)));
+      break;
+    case 1:
+      m[pos] = kStructural[rng() % (sizeof(kStructural) - 1)];
+      break;
+    case 2:
+      m.erase(pos, 1 + rng() % 16);
+      break;
+    default:
+      m.resize(pos);
+      break;
+  }
+  return m;
+}
+
+TEST(ResultBaselines, MutantsParseOrThrowRuntimeError) {
+  const char* const files[] = {"BENCH_simulator_throughput.json",
+                               "SERVE_serve_latency.json",
+                               "PROF_device_sensitivity.json"};
+  std::mt19937_64 rng(20150707);
+  for (const char* file : files) {
+    SCOPED_TRACE(file);
+    const std::string text = read_baseline(
+        std::filesystem::path(NESTPAR_BASELINE_DIR) / file);
+    ASSERT_FALSE(text.empty());
+    int rejected = 0;
+    for (int i = 0; i < 1500; ++i) {
+      const std::string m = mutate(text, rng);
+      try {
+        (void)reserialize(file, m, /*parse_only=*/true);
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << i << " escaped as "
+                      << typeid(e).name() << ": " << e.what();
+      }
+    }
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(ResultBaselines, MistypedProfileEntriesThrowRuntimeError) {
+  // Hand-placed mutants the random ones rarely hit: array items that are
+  // not objects, and index keys that are not numbers.
+  const std::string text = read_baseline(
+      std::filesystem::path(NESTPAR_BASELINE_DIR) /
+      "PROF_device_sensitivity.json");
+  const std::pair<const char*, const char*> edits[] = {
+      {"\"counters\": [\n    {", "\"counters\": [\n    7, {"},
+      {"\"instants\": [\n    {", "\"instants\": [\n    \"x\", {"},
+      {"\"chain\": [\n      {", "\"chain\": [\n      [], {"},
+      {"\"buckets\": {\"", "\"buckets\": {\"x"},
+      {"\"depth_grids\": {\"", "\"depth_grids\": {\"x"},
+      {"\"lane_hist\": {\"", "\"lane_hist\": {\"x"},
+  };
+  for (const auto& [from, to] : edits) {
+    SCOPED_TRACE(to);
+    std::string m = text;
+    const auto pos = m.find(from);
+    ASSERT_NE(pos, std::string::npos);
+    m.replace(pos, std::string(from).size(), to);
+    EXPECT_THROW((void)parse_profile_json(m), std::runtime_error);
+  }
 }
 
 }  // namespace

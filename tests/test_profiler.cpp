@@ -254,10 +254,9 @@ TEST_F(ProfilerTest, SchemaVersionMismatchIsRejected) {
   EXPECT_THROW((void)bench::parse_profile_json(text), std::runtime_error);
 }
 
-// Files written under the previous schema (v1, no critical-path sections)
-// must still load: the sections read back empty and the recorded version is
-// surfaced so consumers can note the upgrade.
-TEST_F(ProfilerTest, SchemaV1ProfileStillParses) {
+// Files are regenerated, never migrated: a v1 profile (no critical-path
+// sections) is refused with the version named.
+TEST_F(ProfilerTest, SchemaV1ProfileIsRejected) {
   const std::string v1 =
       "{\n"
       "  \"schema_version\": 1,\n"
@@ -273,13 +272,14 @@ TEST_F(ProfilerTest, SchemaV1ProfileStillParses) {
       "  \"tracks\": {},\n"
       "  \"counters\": [],\n"
       "  \"instants\": []\n}\n";
-  const bench::SuiteProfile parsed = bench::parse_profile_json(v1);
-  EXPECT_EQ(parsed.schema_version, 1);
-  EXPECT_EQ(parsed.suite, "legacy");
-  EXPECT_EQ(parsed.prof.total_cycles, 123.0);
-  EXPECT_EQ(parsed.prof.crit_total.total(), 0.0);
-  EXPECT_TRUE(parsed.prof.crit_chain.empty());
-  EXPECT_TRUE(parsed.prof.crit_folded.empty());
+  try {
+    (void)bench::parse_profile_json(v1);
+    ADD_FAILURE() << "v1 profile was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("schema_version 1 "),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // The paper's Fig. 5 claim, reproduced as a profile assertion: on a skewed

@@ -12,7 +12,7 @@
 // per-template warp-efficiency rollup, the nesting-depth table, and the
 // recorded counter tracks.
 //
-// `--critpath` switches to the critical-path report (schema v2 profiles):
+// `--critpath` switches to the critical-path report:
 // the makespan attribution by edge category, a per-template bottleneck
 // verdict (launch-bound / imbalance-bound / dependency-bound /
 // compute-bound), and the binding chain of the longest session printed
@@ -24,8 +24,8 @@
 // `--diff` matches kernels by name across two profile sets and reports
 // busy-cycle and imbalance movements beyond the threshold as improvements or
 // regressions. By default the diff is an annotation and exits 0; `--strict`
-// turns annotated drift into exit code 1 so CI can gate on it. A schema
-// upgrade between the two sides is noted, never fatal.
+// turns annotated drift into exit code 1 so CI can gate on it. Both sides
+// must be at the current profile schema; regenerate older files.
 //
 // Exit codes: 0 report printed (with --strict: no drift), 1 drift under
 // --strict, 2 usage or I/O error.
@@ -186,9 +186,8 @@ void report_critpath(const bench::SuiteProfile& profile, std::size_t top) {
               profile.suite.c_str(),
               static_cast<unsigned long long>(p.reports), attributed);
   if (attributed <= 0.0) {
-    std::printf("  no critical-path data (schema v%d profile; regenerate "
-                "with this build's nestpar_bench --profile)\n\n",
-                profile.schema_version);
+    std::printf("  no critical-path data (regenerate with this build's "
+                "nestpar_bench --profile)\n\n");
     return;
   }
 
@@ -266,13 +265,6 @@ void write_folded(std::FILE* out,
 void diff_suite(const bench::SuiteProfile& base,
                 const bench::SuiteProfile& cur, double threshold,
                 int& moved) {
-  if (base.schema_version != cur.schema_version) {
-    // A regenerated baseline under a newer schema is expected, not drift:
-    // note it and keep comparing the metrics both versions carry.
-    std::printf("  note: schema upgraded (baseline v%d, current v%d); "
-                "comparing shared metrics only\n",
-                base.schema_version, cur.schema_version);
-  }
   for (const simt::KernelProfile& b : base.prof.kernels) {
     const simt::KernelProfile* c = cur.prof.find(b.name);
     if (c == nullptr) {

@@ -1,9 +1,12 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/graph/generators.h"
 #include "src/simt/log.h"
@@ -57,14 +60,40 @@ void Args::parse(const std::vector<std::string>& flags,
   }
 }
 
+namespace {
+
+/// Parses all of `text` as one finite T; anything else (trailing garbage,
+/// overflow, inf/nan, empty) throws std::invalid_argument naming the flag.
+template <class T>
+T parse_flag_number(const std::string& name, const std::string& text,
+                    const char* what) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    throw std::invalid_argument("flag '--" + name + "' needs " + what +
+                                ", got '" + text + "'");
+  }
+  return v;
+}
+
+}  // namespace
+
 double Args::get_double(const std::string& name, double def) const {
   auto it = values_.find(name);
-  return it == values_.end() ? def : std::stod(it->second);
+  return it == values_.end()
+             ? def
+             : parse_flag_number<double>(name, it->second, "a finite number");
 }
 
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   auto it = values_.find(name);
-  return it == values_.end() ? def : std::stoll(it->second);
+  return it == values_.end()
+             ? def
+             : parse_flag_number<std::int64_t>(name, it->second,
+                                               "an integer");
 }
 
 std::string Args::get_string(const std::string& name,
@@ -133,7 +162,14 @@ int standalone_main(std::string_view suite, int argc, char** argv) {
   }
   const Args args(flags, spec->usage);
   SuiteResult result;
-  const int rc = spec->run(args, result);
+  int rc = 0;
+  try {
+    rc = spec->run(args, result);
+  } catch (const std::invalid_argument& e) {
+    slog::error("error: %s\n%.*s\n", e.what(),
+                static_cast<int>(spec->usage.size()), spec->usage.data());
+    return 2;
+  }
   // Identity strings are filled in only after the run: the serial-CPU cache
   // model is heap-layout-sensitive, and the runs must see the same heap the
   // pre-registry binaries did.

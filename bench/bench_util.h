@@ -31,6 +31,9 @@ class Args {
   /// form the suite driver uses to run registered suites without a real argv.
   Args(const std::vector<std::string>& flags, std::string_view usage);
 
+  /// Numeric value of `--name=value` (def when absent). The whole value must
+  /// parse as one finite number (an integer for get_int); otherwise throws
+  /// std::invalid_argument naming the flag.
   double get_double(const std::string& name, double def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   /// Raw string value of `--name=value` (def when absent) — for path-valued

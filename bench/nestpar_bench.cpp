@@ -74,7 +74,13 @@ int run_suite(const bench::SuiteSpec& spec,
   const bench::Args args(flags, spec.usage);
   if (simt::Profiler::enabled()) simt::Profiler::instance().reset();
   bench::SuiteResult result;
-  const int rc = spec.run(args, result);
+  int rc = 0;
+  try {
+    rc = spec.run(args, result);
+  } catch (const std::invalid_argument& e) {
+    slog::error("suite '%s': %s\n", name.c_str(), e.what());
+    return 2;
+  }
   result.suite = spec.name;
   result.figure = spec.figure;
   if (rc != 0) {

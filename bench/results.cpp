@@ -897,6 +897,125 @@ CompareReport compare_serve(const SuiteResult& baseline,
   return report;
 }
 
+namespace {
+
+/// One record's serialized fields, keyed by JSON path.
+using Fields = std::map<std::string, JsonValue>;
+
+void flatten(const JsonValue& v, const std::string& path, Fields& out) {
+  if (v.is_object()) {
+    for (const auto& [k, child] : v.object()) {
+      if (k != "extra_volatile") {
+        flatten(child, path.empty() ? k : path + "/" + k, out);
+      }
+    }
+  } else if (v.is_array()) {
+    const JsonArray& a = v.array();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      flatten(a[i], path + "/" + std::to_string(i), out);
+    }
+  } else {
+    out.emplace(path, v);
+  }
+}
+
+/// The fields of each record in `doc`'s `array` member, paired with the
+/// record's match key (`keys` is in document order).
+std::vector<std::pair<std::string, Fields>> record_fields(
+    const std::string& doc, const char* array,
+    const std::vector<std::string>& keys) {
+  const JsonValue root = parse_json(doc);
+  const JsonArray& records = require_arr(as_object(root, "document"), array);
+  std::vector<std::pair<std::string, Fields>> out(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out[i].first = keys[i];
+    flatten(records[i], "", out[i].second);
+  }
+  return out;
+}
+
+bool same_field(const JsonValue& a, const JsonValue& b) {
+  if (a.v.index() != b.v.index()) return false;
+  if (a.is_number()) return a.number() == b.number();
+  if (a.is_string()) return a.string() == b.string();
+  if (std::holds_alternative<bool>(a.v)) {
+    return std::get<bool>(a.v) == std::get<bool>(b.v);
+  }
+  return true;  // null
+}
+
+double field_number(const JsonValue* v) {
+  return v != nullptr && v->is_number() ? v->number() : std::nan("");
+}
+
+void diff_exact(CompareReport& report, const std::string& suite,
+                const std::vector<std::pair<std::string, Fields>>& baseline,
+                const std::vector<std::pair<std::string, Fields>>& current) {
+  std::map<std::string, const Fields*> current_by_key;
+  for (const auto& [key, fields] : current) current_by_key[key] = &fields;
+  std::map<std::string, bool> baseline_keys;
+  for (const auto& [key, bf] : baseline) {
+    baseline_keys[key] = true;
+    const auto it = current_by_key.find(key);
+    if (it == current_by_key.end()) {
+      ++report.missing;
+      continue;
+    }
+    ++report.matched;
+    const Fields& cf = *it->second;
+    const auto diff = [&](const std::string& path, const JsonValue* b,
+                          const JsonValue* c) {
+      if (b != nullptr && c != nullptr && same_field(*b, *c)) return;
+      MetricDelta d;
+      d.suite = suite;
+      d.key = key;
+      d.metric = path;
+      d.baseline = field_number(b);
+      d.current = field_number(c);
+      d.rel_delta = rel_delta(d.baseline, d.current);
+      d.regression = true;
+      report.deltas.push_back(std::move(d));
+    };
+    for (const auto& [path, b] : bf) {
+      const auto c = cf.find(path);
+      diff(path, &b, c == cf.end() ? nullptr : &c->second);
+    }
+    for (const auto& [path, c] : cf) {
+      if (!bf.count(path)) diff(path, nullptr, &c);
+    }
+  }
+  for (const auto& [key, fields] : current) {
+    (void)fields;
+    if (!baseline_keys.count(key)) ++report.added;
+  }
+}
+
+template <class Record>
+std::vector<std::string> record_keys(const std::vector<Record>& records) {
+  std::vector<std::string> keys;
+  keys.reserve(records.size());
+  for (const Record& r : records) keys.push_back(r.key());
+  return keys;
+}
+
+}  // namespace
+
+CompareReport compare_exact(const SuiteResult& baseline,
+                            const SuiteResult& current) {
+  CompareReport report;
+  diff_exact(report, baseline.suite,
+             record_fields(to_json(baseline), "measurements",
+                           record_keys(baseline.measurements)),
+             record_fields(to_json(current), "measurements",
+                           record_keys(current.measurements)));
+  diff_exact(report, baseline.suite + " [serve]",
+             record_fields(to_serve_json(baseline), "records",
+                           record_keys(baseline.serve)),
+             record_fields(to_serve_json(current), "records",
+                           record_keys(current.serve)));
+  return report;
+}
+
 void merge_compare_reports(CompareReport& a, const CompareReport& b) {
   a.deltas.insert(a.deltas.end(), b.deltas.begin(), b.deltas.end());
   a.matched += b.matched;

@@ -206,8 +206,10 @@ std::string write_profile_file(const SuiteProfile& profile,
 /// parse/schema failure.
 SuiteProfile load_profile_file(const std::string& path);
 
-/// Comparator configuration: `threshold` is the relative delta above which a
-/// deterministic metric counts as a regression (0.05 = 5%).
+/// Configuration of the thresholded comparison (compare_results /
+/// compare_serve): `threshold` is the relative delta above which a gated
+/// metric counts as a regression (0.05 = 5%). The default gate is
+/// compare_exact, which has no threshold.
 struct CompareOptions {
   double threshold = 0.05;
 };
@@ -252,6 +254,16 @@ CompareReport compare_results(const SuiteResult& baseline,
 CompareReport compare_serve(const SuiteResult& baseline,
                             const SuiteResult& current,
                             const CompareOptions& opt);
+
+/// The exact gate: match BENCH records by Measurement::key() and SERVE
+/// records by ServeRecord::key(), and diff every serialized field outside
+/// `extra_volatile`. Any delta, in either direction, is a regression. Fields
+/// are named by their JSON path ("cycles", "robustness/retries",
+/// "tenants/1/ok"); a field that is not a number, or is absent on one side,
+/// reports NaN for that side. Missing baseline records are regressions;
+/// added records are not.
+CompareReport compare_exact(const SuiteResult& baseline,
+                            const SuiteResult& current);
 
 /// Merge `b` into `a` (summing match counts and concatenating deltas).
 void merge_compare_reports(CompareReport& a, const CompareReport& b);

@@ -4,6 +4,7 @@
 // baselines, regression detection in the comparator, and flag semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -21,6 +22,7 @@ namespace {
 
 using nestpar::bench::Args;
 using nestpar::bench::CompareOptions;
+using nestpar::bench::compare_exact;
 using nestpar::bench::CompareReport;
 using nestpar::bench::compare_results;
 using nestpar::bench::kResultSchemaVersion;
@@ -542,6 +544,94 @@ TEST(BenchCompare, MergeAccumulatesCounts) {
   EXPECT_TRUE(total.has_regression());
 }
 
+// The exact gate (compare_results' default): every serialized field outside
+// extra_volatile must match, in either direction.
+
+bool has_delta(const CompareReport& rep, const std::string& metric) {
+  for (const auto& d : rep.deltas) {
+    if (d.metric == metric) return d.regression;
+  }
+  return false;
+}
+
+TEST(ExactCompare, IdenticalResultsHaveNoDeltas) {
+  const CompareReport rep = compare_exact(sample_result(), sample_result());
+  EXPECT_EQ(rep.matched, 2);
+  EXPECT_TRUE(rep.deltas.empty());
+  EXPECT_FALSE(rep.has_regression());
+}
+
+TEST(ExactCompare, AnyDeltaInEitherDirectionIsARegression) {
+  const SuiteResult baseline = sample_result();
+  SuiteResult current = baseline;
+  current.measurements[0].cycles -= 1.0;  // Faster is still drift.
+  current.measurements[1].warp_efficiency += 1e-9;
+  current.measurements[0].robustness.retries = 3;
+  current.measurements[0].extra["speedup"] = 1.88;  // Never gated by
+                                                    // threshold mode.
+  const CompareReport rep = compare_exact(baseline, current);
+  EXPECT_TRUE(rep.has_regression());
+  EXPECT_EQ(rep.deltas.size(), 4u);
+  EXPECT_TRUE(has_delta(rep, "cycles"));
+  EXPECT_TRUE(has_delta(rep, "warp_efficiency"));
+  EXPECT_TRUE(has_delta(rep, "robustness/retries"));
+  EXPECT_TRUE(has_delta(rep, "extra/speedup"));
+  for (const auto& d : rep.deltas) EXPECT_FALSE(d.improvement);
+}
+
+TEST(ExactCompare, OneSidedFieldsReportNaN) {
+  const SuiteResult baseline = sample_result();
+  SuiteResult current = baseline;
+  current.measurements[1].extra["new_metric"] = 2.0;
+  const CompareReport rep = compare_exact(baseline, current);
+  ASSERT_EQ(rep.deltas.size(), 1u);
+  EXPECT_EQ(rep.deltas[0].metric, "extra/new_metric");
+  EXPECT_TRUE(std::isnan(rep.deltas[0].baseline));
+  EXPECT_EQ(rep.deltas[0].current, 2.0);
+  EXPECT_TRUE(rep.deltas[0].regression);
+}
+
+TEST(ExactCompare, VolatileExtrasAreNeverCompared) {
+  const SuiteResult baseline = sample_result();
+  SuiteResult current = baseline;
+  current.measurements[0].volatile_extra["cpu_speedup"] = 3.5;
+  SuiteResult serve_current = sample_serve_result();
+  serve_current.serve[0].volatile_extra["wall_elapsed_ms"] = 99.0;
+  EXPECT_TRUE(compare_exact(baseline, current).deltas.empty());
+  EXPECT_TRUE(compare_exact(sample_serve_result(), serve_current)
+                  .deltas.empty());
+}
+
+TEST(ExactCompare, MissingRecordsFailAddedRecordsDoNot) {
+  const SuiteResult baseline = sample_result();
+  SuiteResult current = baseline;
+  current.measurements.pop_back();
+  CompareReport rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.missing, 1);
+  EXPECT_TRUE(rep.has_regression());
+
+  current = baseline;
+  Measurement extra;
+  extra.tmpl = "new-variant";
+  current.measurements.push_back(extra);
+  rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.added, 1);
+  EXPECT_FALSE(rep.has_regression());
+}
+
+TEST(ExactCompare, ServeFieldsAndTelemetryPointsAreCompared) {
+  const SuiteResult baseline = sample_serve_result();
+  SuiteResult current = baseline;
+  current.serve[0].stats.p95_us = 379.0;  // Not gated by threshold mode.
+  current.serve[0].telemetry[0].points[1].value = 3.0;
+  const CompareReport rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.matched, 1);
+  EXPECT_EQ(rep.deltas.size(), 2u);
+  EXPECT_TRUE(has_delta(rep, "p95_us"));
+  EXPECT_TRUE(has_delta(rep, "telemetry/0/points/1/1"));
+  EXPECT_EQ(rep.deltas[0].suite, "serve_latency [serve]");
+}
+
 TEST(BenchArgs, DuplicateFlagKeepsLastValue) {
   const Args args({"--scale=0.1", "--scale=0.5"},
                   "test [--scale=F]");
@@ -561,6 +651,34 @@ TEST(BenchArgs, ValuelessFlagActsAsBoolean) {
   EXPECT_TRUE(args.get_flag("full"));
   EXPECT_FALSE(args.get_flag("scale"));
   EXPECT_DOUBLE_EQ(args.get_double("scale", 0.25), 0.25);
+}
+
+TEST(BenchArgs, NumericFlagsParseTheWholeValue) {
+  const Args args({"--scale=0.25", "--lb=-7", "--tiny=1e-3"},
+                  "test [--scale=F] [--lb=N] [--tiny=F]");
+  EXPECT_EQ(args.get_double("scale", 0.0), 0.25);
+  EXPECT_EQ(args.get_int("lb", 0), -7);
+  EXPECT_EQ(args.get_double("tiny", 0.0), 1e-3);
+}
+
+TEST(BenchArgs, MalformedNumbersThrowNamingTheFlag) {
+  for (const char* value : {"abc", "0.001xyz", "", "inf", "nan", "1e999",
+                            " 1", "0x10"}) {
+    SCOPED_TRACE(value);
+    const Args args({std::string("--scale=") + value}, "test [--scale=F]");
+    try {
+      (void)args.get_double("scale", 1.0);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'--scale'"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* value : {"1.5", "12abc", "x", "99999999999999999999"}) {
+    SCOPED_TRACE(value);
+    const Args args({std::string("--top=") + value}, "test [--top=N]");
+    EXPECT_THROW((void)args.get_int("top", 10), std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------

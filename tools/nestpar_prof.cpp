@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "bench/results.h"
 #include "src/simt/critpath.h"
 #include "src/simt/log.h"
@@ -332,36 +333,32 @@ int run_diff(const std::string& base_path, const std::string& cur_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool diff = false;
-  bool critpath = false;
-  bool strict = false;
-  std::size_t top = 10;
-  double threshold = 0.05;
-  std::string folded_path;
+  // Positional arguments are paths; everything else is a flag for Args
+  // (which prints --help, and rejects unknown flags with exit code 2).
+  std::vector<std::string> flags;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::printf("%s\n", kUsage);
-      return 0;
-    } else if (arg == "--diff") {
-      diff = true;
-    } else if (arg == "--critpath") {
-      critpath = true;
-    } else if (arg == "--strict") {
-      strict = true;
-    } else if (arg.rfind("--folded=", 0) == 0) {
-      folded_path = arg.substr(9);
-    } else if (arg.rfind("--top=", 0) == 0) {
-      top = static_cast<std::size_t>(std::stoul(arg.substr(6)));
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::stod(arg.substr(12));
-    } else if (arg.rfind("--", 0) == 0) {
-      slog::error("unknown argument '%s'\n%s\n", arg.c_str(), kUsage);
-      return 2;
-    } else {
-      paths.push_back(arg);
+    (arg.rfind("--", 0) == 0 || arg == "-h" ? flags : paths).push_back(arg);
+  }
+  const bench::Args args(flags, kUsage);
+  const bool diff = args.get_flag("diff");
+  const bool critpath = args.get_flag("critpath");
+  const bool strict = args.get_flag("strict");
+  const std::string folded_path = args.get_string("folded", "");
+  std::size_t top = 10;
+  double threshold = 0.05;
+  try {
+    const std::int64_t top_flag = args.get_int("top", 10);
+    threshold = args.get_double("threshold", 0.05);
+    if (top_flag < 0) throw std::invalid_argument("flag '--top' must be >= 0");
+    if (threshold < 0.0) {
+      throw std::invalid_argument("flag '--threshold' must be >= 0");
     }
+    top = static_cast<std::size_t>(top_flag);
+  } catch (const std::invalid_argument& e) {
+    slog::error("error: %s\n%s\n", e.what(), kUsage);
+    return 2;
   }
 
   if (diff) {

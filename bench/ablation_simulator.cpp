@@ -214,5 +214,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("ablation_simulator")

@@ -23,7 +23,7 @@ namespace {
 // serial CPU cost model hashes raw heap addresses, so building Measurement
 // records (strings, maps, vector growth) between the app blocks would shift
 // the heap layout every later serial reference sees and drift its modeled
-// time away from the standalone pre-registry numbers. Rows are flushed into
+// time away from the baselines. Rows are flushed into
 // the SuiteResult only after the last serial reference has run.
 struct AppRow {
   const char* app;
@@ -164,5 +164,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("baseline_speedups")

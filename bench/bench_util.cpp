@@ -1,6 +1,5 @@
 #include "bench_util.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -134,58 +133,6 @@ const SuiteSpec* Registry::find(std::string_view name) const {
 
 Registration::Registration(const SuiteSpec& spec) {
   Registry::instance().add(spec);
-}
-
-int standalone_main(std::string_view suite, int argc, char** argv) {
-  const SuiteSpec* spec = Registry::instance().find(suite);
-  if (spec == nullptr) {
-    slog::error("suite '%.*s' is not registered\n",
-                static_cast<int>(suite.size()), suite.data());
-    return 2;
-  }
-  // `--smoke` expands to the suite's registered smoke flags (as in the
-  // combined driver), so CI can run a standalone binary on its fast
-  // configuration without repeating the flag values. Explicit flags given
-  // alongside it are parsed after the smoke set and therefore win.
-  std::vector<std::string> flags;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      flags.emplace_back(argv[i]);
-    }
-  }
-  if (smoke) {
-    flags.insert(flags.begin(), spec->smoke_flags.begin(),
-                 spec->smoke_flags.end());
-  }
-  const Args args(flags, spec->usage);
-  SuiteResult result;
-  int rc = 0;
-  try {
-    rc = spec->run(args, result);
-  } catch (const std::invalid_argument& e) {
-    slog::error("error: %s\n%.*s\n", e.what(),
-                static_cast<int>(spec->usage.size()), spec->usage.data());
-    return 2;
-  }
-  // Identity strings are filled in only after the run: the serial-CPU cache
-  // model is heap-layout-sensitive, and the runs must see the same heap the
-  // pre-registry binaries did.
-  result.suite = spec->name;
-  result.figure = spec->figure;
-  const std::string out = args.get_string("out", "");
-  if (rc == 0 && !out.empty()) {
-    try {
-      write_result_file(result, out);
-      if (!result.serve.empty()) write_serve_file(result, out);
-    } catch (const std::runtime_error& e) {
-      slog::error("error: %s\n", e.what());
-      return 2;
-    }
-  }
-  return rc;
 }
 
 void banner(const std::string& title, const std::string& paper_expectation) {

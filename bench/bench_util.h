@@ -13,11 +13,11 @@
 
 namespace nestpar::bench {
 
-/// Minimal flag parser shared by every bench binary. Flags look like
+/// Minimal flag parser shared by the bench suites and tools. Flags look like
 /// `--scale=0.25` or `--full`. Unknown flags abort with a usage message so a
 /// typo cannot silently run the wrong experiment. A flag given twice keeps
 /// the *last* value and warns on stderr (so scripted flag overrides work:
-/// `fig5_sssp $COMMON_FLAGS --scale=0.5`).
+/// `nestpar_bench --suite=fig5_sssp $COMMON_FLAGS --scale=0.5`).
 ///
 /// ```cpp
 ///   const bench::Args args(argc, argv, "fig5_sssp [--scale=0.1] [--out=DIR]");
@@ -48,27 +48,28 @@ class Args {
 };
 
 // ---------------------------------------------------------------------------
-// Suite registry: every bench binary registers its experiment here. The
-// standalone binary (`fig5_sssp`) and the unified driver (`nestpar_bench`)
-// run the same registered function; the only difference is how many suites
-// are linked into the executable.
+// Suite registry: every bench/*.cpp suite registers its experiment here, and
+// the `nestpar_bench` driver, which links them all, runs one
+// (`--suite=fig5_sssp`) or all of them through it.
 
-/// A registered experiment. `run` prints the suite's classic text tables
-/// exactly as before (so fault-free output stays byte-identical to the
-/// pre-registry binaries) and additionally appends typed `Measurement`
-/// records to `out` for the JSON results pipeline.
+/// A registered experiment. `run` prints the suite's text tables and
+/// appends typed `Measurement` records to `out` for the JSON results
+/// pipeline.
 ///
 /// All fields are views over static storage (string literals and
 /// file-local arrays): registration performs **no heap allocation**, so the
-/// serial-CPU cache model — which is sensitive to heap layout — sees exactly
-/// the same addresses as it did before the registry existed.
+/// serial-CPU cache model — which is sensitive to heap layout — sees the
+/// same addresses however many suites are registered.
 struct SuiteSpec {
-  std::string_view name;         ///< Registry key and binary name.
+  std::string_view name;         ///< Registry key (`--suite=NAME`).
   std::string_view figure;       ///< Paper anchor ("Figure 5", "Table I").
   std::string_view description;  ///< One-line summary for `--list`.
-  std::string_view usage;        ///< Usage string (must mention every flag).
+  /// Usage string (must mention every flag); `nestpar_bench --suite=NAME
+  /// --help` prints it.
+  std::string_view usage;
   /// Flags for a fast-but-nonempty run; `nestpar_bench --smoke` uses these
-  /// to validate that every suite emits schema-valid JSON in seconds. Must
+  /// to validate that every suite emits schema-valid JSON in seconds
+  /// (explicit flags given with `--suite=NAME --smoke` override them). Must
   /// point at a static array, e.g.
   /// `constexpr const char* kSmoke[] = {"--scale=0.01"};`.
   std::span<const char* const> smoke_flags;
@@ -97,25 +98,6 @@ class Registry {
 struct Registration {
   explicit Registration(const SuiteSpec& spec);
 };
-
-/// Entry point of a standalone suite binary: parse argv against the suite's
-/// usage, run it, and — when `--out=DIR` was given — write
-/// `DIR/BENCH_<suite>.json`. `--smoke` expands to the suite's registered
-/// smoke flags (explicit flags still win). Returns the suite's exit code
-/// (2 on usage or I/O errors).
-int standalone_main(std::string_view suite, int argc, char** argv);
-
-/// Expands to the standalone `main` unless the file is being compiled into
-/// the combined `nestpar_bench` driver (which has its own main and runs
-/// suites through the registry).
-#ifdef NESTPAR_BENCH_COMBINED
-#define NESTPAR_BENCH_MAIN(suite)
-#else
-#define NESTPAR_BENCH_MAIN(suite)                       \
-  int main(int argc, char** argv) {                     \
-    return ::nestpar::bench::standalone_main(suite, argc, argv); \
-  }
-#endif
 
 // ---------------------------------------------------------------------------
 // Shared output helpers.

@@ -186,5 +186,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("fault_degradation")

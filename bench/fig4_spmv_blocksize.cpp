@@ -84,5 +84,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("fig4_spmv_blocksize")

@@ -164,5 +164,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("fig5_sssp")

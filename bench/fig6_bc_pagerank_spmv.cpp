@@ -120,5 +120,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("fig6_bc_pagerank_spmv")

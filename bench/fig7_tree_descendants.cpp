@@ -29,5 +29,3 @@ const nestpar::bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("fig7_tree_descendants")

@@ -21,5 +21,3 @@ const nestpar::bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("fig8_tree_heights")

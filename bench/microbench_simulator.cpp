@@ -1,126 +1,24 @@
-// Wall-clock microbenchmarks of the simulator itself (google-benchmark):
-// how fast the functional pass records and combines operations, and how the
-// timing pass scales with grid count. These guard the substrate's own
-// performance — every figure bench runs millions of modeled ops through it.
-//
-// Standalone, this is a plain google-benchmark binary (BENCHMARK_MAIN). In
-// the combined nestpar_bench driver wall-clock numbers would not be
-// reproducible, so there the suite instead registers a deterministic
-// model-cycle variant: each scenario runs once through the simulator and
-// records its modeled cycles, which are bit-stable across machines.
-#include <benchmark/benchmark.h>
-
+// Simulator micro-scenarios: each scenario (compute ops, coalesced loads,
+// many small grids) runs once through the simulator and records its modeled
+// cycles, which are bit-stable across machines. The simulator's host cost is
+// measured by simulator_throughput and the end-to-end benchmark instead.
 #include <vector>
 
 #include "bench_util.h"
-#include "src/graph/generators.h"
 #include "src/simt/device.h"
 
 namespace {
 
 namespace simt = nestpar::simt;
-
-void BM_ComputeOps(benchmark::State& state) {
-  const int per_lane = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    simt::Device dev;
-    simt::Session session = dev.session();
-    simt::LaunchConfig cfg;
-    cfg.grid_blocks = 64;
-    cfg.block_threads = 192;
-    cfg.name = "compute";
-    session.launch_threads(cfg, [per_lane](simt::LaneCtx& t) {
-      for (int i = 0; i < per_lane; ++i) t.compute();
-    });
-    benchmark::DoNotOptimize(session.report().total_cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * 192 * per_lane);
-}
-BENCHMARK(BM_ComputeOps)->Arg(16)->Arg(64);
-
-void BM_CoalescedLoads(benchmark::State& state) {
-  std::vector<float> data(64 * 192);
-  for (auto _ : state) {
-    simt::Device dev;
-    simt::Session session = dev.session();
-    simt::LaunchConfig cfg;
-    cfg.grid_blocks = 64;
-    cfg.block_threads = 192;
-    cfg.name = "loads";
-    session.launch_threads(cfg, [&](simt::LaneCtx& t) {
-      for (int r = 0; r < 16; ++r) t.ld(&data[t.global_idx()]);
-    });
-    benchmark::DoNotOptimize(session.report().total_cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * 192 * 16);
-}
-BENCHMARK(BM_CoalescedLoads);
-
-void BM_TimingPassManyGrids(benchmark::State& state) {
-  const int grids = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    simt::Device dev;
-    simt::Session session = dev.session();
-    simt::LaunchConfig cfg;
-    cfg.grid_blocks = 4;
-    cfg.block_threads = 64;
-    cfg.name = "grid";
-    for (int i = 0; i < grids; ++i) {
-      session.launch_threads(cfg, [](simt::LaneCtx& t) { t.compute(8); });
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(session.report().total_cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * grids);
-}
-BENCHMARK(BM_TimingPassManyGrids)->Arg(64)->Arg(512);
-
-// Functional-pass fan-out: the same wide grid under the serial and the
-// parallel host engine (thread count = benchmark argument, 0 = serial).
-void BM_EngineFanout(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const simt::ExecPolicy policy = threads > 0
-                                      ? simt::ExecPolicy::parallel(threads)
-                                      : simt::ExecPolicy::serial();
-  std::vector<float> data(256 * 192);
-  for (auto _ : state) {
-    simt::Device dev;
-    simt::Session session = dev.session(policy);
-    simt::LaunchConfig cfg;
-    cfg.grid_blocks = 256;
-    cfg.block_threads = 192;
-    cfg.name = "fanout";
-    session.launch_threads(cfg, [&](simt::LaneCtx& t) {
-      for (int r = 0; r < 64; ++r) {
-        t.ld(&data[t.global_idx()]);
-        t.compute();
-      }
-    });
-    benchmark::DoNotOptimize(session.report().total_cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * 256 * 192 * 64);
-}
-BENCHMARK(BM_EngineFanout)->Arg(0)->Arg(2)->Arg(4);
-
-void BM_GraphGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    auto g = nestpar::graph::generate_power_law(20000, 1, 500, 40.0, 7);
-    benchmark::DoNotOptimize(g.num_edges());
-  }
-}
-BENCHMARK(BM_GraphGeneration);
-
-#ifdef NESTPAR_BENCH_COMBINED
 namespace bench = nestpar::bench;
 
-// Deterministic stand-in for the combined driver: runs each microbench
-// scenario exactly once and records modeled cycles, not wall clock.
+// Runs each scenario exactly once and records modeled cycles, not wall
+// clock.
 int run(const bench::Args& args, bench::SuiteResult& out) {
   (void)args;
   bench::banner("Simulator micro-scenarios (deterministic model cycles)",
-                "one pass per scenario; wall-clock microbenchmarks live in "
-                "the standalone microbench_simulator binary");
+                "one pass per scenario; the simulator's wall-clock cost is "
+                "measured by simulator_throughput");
 
   const auto record = [&](const char* name, double n,
                           const simt::RunReport& rep) {
@@ -182,10 +80,5 @@ const bench::Registration reg{{
     .usage = "microbench_simulator [--out=DIR]",
     .run = &run,
 }};
-#endif  // NESTPAR_BENCH_COMBINED
 
 }  // namespace
-
-#ifndef NESTPAR_BENCH_COMBINED
-BENCHMARK_MAIN();
-#endif

@@ -1,9 +1,12 @@
-// Unified benchmark driver: every bench/*.cpp suite is compiled into this
-// binary with NESTPAR_BENCH_COMBINED defined, so their static Registration
-// objects populate the registry and this main dispatches over it.
+// The benchmark driver: every bench/*.cpp suite is compiled into this
+// binary, so their static Registration objects populate the registry and
+// this main dispatches over it.
 //
 //   nestpar_bench --list                 enumerate registered suites
-//   nestpar_bench --suite=fig5_sssp ...  run one suite (extra flags forwarded)
+//   nestpar_bench --suite=fig5_sssp ...  run one suite (extra flags forwarded;
+//                                        with --smoke they override the
+//                                        suite's smoke flags; --help prints
+//                                        the suite's usage)
 //   nestpar_bench --all [--out=DIR]      run every suite, optionally writing
 //                                        one BENCH_<suite>.json per suite
 //   nestpar_bench --smoke [--out=DIR]    run every suite on its fast smoke
@@ -37,6 +40,7 @@ constexpr const char* kUsage =
     "                     [--verbose | --quiet]\n"
     "  --list        list registered suites and their paper anchors\n"
     "  --suite=NAME  run one suite; remaining flags are forwarded to it\n"
+    "                (after its smoke flags with --smoke, so they win)\n"
     "  --all         run every registered suite with default flags\n"
     "  --smoke       run every suite with its fast smoke flags and validate\n"
     "                the JSON it produces round-trips through the parser\n"
@@ -57,9 +61,15 @@ void list_suites() {
   }
 }
 
-// Materializes a suite's compile-time smoke flags as forwardable arguments.
-std::vector<std::string> smoke_args(const bench::SuiteSpec& spec) {
-  return {spec.smoke_flags.begin(), spec.smoke_flags.end()};
+// A suite's flags: its compile-time smoke flags when `smoke` is set, then
+// the explicit ones, which win because Args keeps a repeated flag's last
+// value.
+std::vector<std::string> suite_args(const bench::SuiteSpec& spec, bool smoke,
+                                    const std::vector<std::string>& given) {
+  std::vector<std::string> flags;
+  if (smoke) flags.assign(spec.smoke_flags.begin(), spec.smoke_flags.end());
+  flags.insert(flags.end(), given.begin(), given.end());
+  return flags;
 }
 
 // Runs one suite on the given flags. Writes DIR/BENCH_<suite>.json when
@@ -137,14 +147,14 @@ int main(int argc, char** argv) {
   bool list = false;
   bool all = false;
   bool smoke = false;
+  bool help = false;
   std::string suite;
   std::string out_dir;
   std::vector<std::string> forwarded;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::printf("%s\n", kUsage);
-      return 0;
+      help = true;
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--all") {
@@ -166,6 +176,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (help && suite.empty()) {
+    std::printf("%s\n", kUsage);
+    return 0;
+  }
   if (list) {
     list_suites();
     return 0;
@@ -177,7 +191,12 @@ int main(int argc, char** argv) {
                   suite.c_str());
       return 2;
     }
-    return run_suite(*spec, smoke ? smoke_args(*spec) : forwarded, out_dir,
+    if (help) {
+      std::printf("%.*s\n", static_cast<int>(spec->usage.size()),
+                  spec->usage.data());
+      return 0;
+    }
+    return run_suite(*spec, suite_args(*spec, smoke, forwarded), out_dir,
                      smoke);
   }
   if (all || smoke) {
@@ -192,9 +211,8 @@ int main(int argc, char** argv) {
       std::printf("\n### %s\n", std::string(spec.name).c_str());
       slog::debug("[bench] starting suite '%s'\n",
                   std::string(spec.name).c_str());
-      const int rc = run_suite(
-          spec, smoke ? smoke_args(spec) : std::vector<std::string>{}, out_dir,
-          smoke);
+      const int rc =
+          run_suite(spec, suite_args(spec, smoke, {}), out_dir, smoke);
       if (rc > worst) worst = rc;
     }
     return worst;

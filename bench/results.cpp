@@ -1,5 +1,6 @@
 #include "results.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <filesystem>
@@ -7,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "bench/json.h"
 #include "src/simt/device.h"
@@ -951,30 +953,55 @@ double field_number(const JsonValue* v) {
 void diff_exact(CompareReport& report, const std::string& suite,
                 const std::vector<std::pair<std::string, Fields>>& baseline,
                 const std::vector<std::pair<std::string, Fields>>& current) {
-  std::map<std::string, const Fields*> current_by_key;
-  for (const auto& [key, fields] : current) current_by_key[key] = &fields;
-  std::map<std::string, bool> baseline_keys;
-  for (const auto& [key, bf] : baseline) {
-    baseline_keys[key] = true;
-    const auto it = current_by_key.find(key);
-    if (it == current_by_key.end()) {
+  // A key can repeat (a sweep point measured twice): the n-th baseline
+  // record with a key pairs with the n-th current one.
+  std::map<std::string, std::vector<std::size_t>> current_pos;
+  for (std::size_t i = 0; i < current.size(); ++i) {
+    current_pos[current[i].first].push_back(i);
+  }
+  constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> match(baseline.size(), kUnmatched);
+  std::map<std::string, std::size_t> seen;
+  std::vector<std::size_t> in_order;  // Matched current positions, sorted.
+  for (std::size_t bi = 0; bi < baseline.size(); ++bi) {
+    const auto it = current_pos.find(baseline[bi].first);
+    const std::size_t n = seen[baseline[bi].first]++;
+    if (it != current_pos.end() && n < it->second.size()) {
+      match[bi] = it->second[n];
+      in_order.push_back(match[bi]);
+    }
+  }
+  std::sort(in_order.begin(), in_order.end());
+  // A matched record whose current position is not the next slot of the
+  // sorted sequence sits out of order.
+  std::size_t rank = 0;
+  for (std::size_t bi = 0; bi < baseline.size(); ++bi) {
+    const auto& [key, bf] = baseline[bi];
+    if (match[bi] == kUnmatched) {
       ++report.missing;
       continue;
     }
     ++report.matched;
-    const Fields& cf = *it->second;
-    const auto diff = [&](const std::string& path, const JsonValue* b,
-                          const JsonValue* c) {
-      if (b != nullptr && c != nullptr && same_field(*b, *c)) return;
+    const Fields& cf = current[match[bi]].second;
+    const auto delta = [&](const std::string& metric, double b, double c) {
       MetricDelta d;
       d.suite = suite;
       d.key = key;
-      d.metric = path;
-      d.baseline = field_number(b);
-      d.current = field_number(c);
-      d.rel_delta = rel_delta(d.baseline, d.current);
+      d.metric = metric;
+      d.baseline = b;
+      d.current = c;
+      d.rel_delta = rel_delta(b, c);
       d.regression = true;
       report.deltas.push_back(std::move(d));
+    };
+    if (in_order[rank++] != match[bi]) {
+      delta("position", static_cast<double>(bi),
+            static_cast<double>(match[bi]));
+    }
+    const auto diff = [&](const std::string& path, const JsonValue* b,
+                          const JsonValue* c) {
+      if (b != nullptr && c != nullptr && same_field(*b, *c)) return;
+      delta(path, field_number(b), field_number(c));
     };
     for (const auto& [path, b] : bf) {
       const auto c = cf.find(path);
@@ -984,10 +1011,7 @@ void diff_exact(CompareReport& report, const std::string& suite,
       if (!bf.count(path)) diff(path, nullptr, &c);
     }
   }
-  for (const auto& [key, fields] : current) {
-    (void)fields;
-    if (!baseline_keys.count(key)) ++report.added;
-  }
+  report.added += static_cast<int>(current.size() - in_order.size());
 }
 
 template <class Record>

@@ -260,8 +260,10 @@ CompareReport compare_serve(const SuiteResult& baseline,
 /// `extra_volatile`. Any delta, in either direction, is a regression. Fields
 /// are named by their JSON path ("cycles", "robustness/retries",
 /// "tenants/1/ok"); a field that is not a number, or is absent on one side,
-/// reports NaN for that side. Missing baseline records are regressions;
-/// added records are not.
+/// reports NaN for that side. Matched records must also keep their relative
+/// order: one that sits elsewhere in the sequence reports a "position" delta
+/// (its record index on each side). Missing baseline records are
+/// regressions; added records are not.
 CompareReport compare_exact(const SuiteResult& baseline,
                             const SuiteResult& current);
 

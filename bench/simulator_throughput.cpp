@@ -135,5 +135,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("simulator_throughput")

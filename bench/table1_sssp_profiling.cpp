@@ -87,5 +87,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("table1_sssp_profiling")

@@ -125,5 +125,3 @@ const bench::Registration reg{{
 }};
 
 }  // namespace
-
-NESTPAR_BENCH_MAIN("table2_warp_efficiency")

@@ -619,6 +619,49 @@ TEST(ExactCompare, MissingRecordsFailAddedRecordsDoNot) {
   EXPECT_FALSE(rep.has_regression());
 }
 
+TEST(ExactCompare, ReorderedRecordsFail) {
+  const SuiteResult baseline = sample_result();
+  SuiteResult current = baseline;
+  std::swap(current.measurements[0], current.measurements[1]);
+  const CompareReport rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.matched, 2);
+  ASSERT_EQ(rep.deltas.size(), 2u);
+  EXPECT_TRUE(has_delta(rep, "position"));
+  EXPECT_EQ(rep.deltas[0].baseline, 0.0);
+  EXPECT_EQ(rep.deltas[0].current, 1.0);
+
+  // Order is relative: records added in between, or a missing one, shift
+  // indices without reordering what is left.
+  current = baseline;
+  Measurement extra;
+  extra.tmpl = "new-variant";
+  current.measurements.insert(current.measurements.begin() + 1, extra);
+  EXPECT_FALSE(compare_exact(baseline, current).has_regression());
+  current = baseline;
+  current.measurements.erase(current.measurements.begin());
+  EXPECT_TRUE(compare_exact(baseline, current).deltas.empty());
+
+  // A repeated key pairs occurrence by occurrence, so a sweep point that is
+  // measured twice is neither misordered nor compared with its twin.
+  SuiteResult repeated = baseline;
+  repeated.measurements.push_back(baseline.measurements[0]);
+  repeated.measurements.back().cycles += 1.0;
+  EXPECT_TRUE(compare_exact(repeated, repeated).deltas.empty());
+  current = repeated;
+  std::swap(current.measurements[0], current.measurements[2]);
+  const CompareReport twins = compare_exact(repeated, current);
+  EXPECT_EQ(twins.matched, 3);
+  EXPECT_TRUE(has_delta(twins, "cycles"));
+
+  SuiteResult serve_baseline = sample_serve_result();
+  serve_baseline.serve.push_back(serve_baseline.serve[0]);
+  serve_baseline.serve[1].scenario = "burst";
+  SuiteResult serve_current = serve_baseline;
+  std::swap(serve_current.serve[0], serve_current.serve[1]);
+  EXPECT_TRUE(has_delta(compare_exact(serve_baseline, serve_current),
+                        "position"));
+}
+
 TEST(ExactCompare, ServeFieldsAndTelemetryPointsAreCompared) {
   const SuiteResult baseline = sample_serve_result();
   SuiteResult current = baseline;

@@ -721,182 +721,7 @@ SuiteProfile load_profile_file(const std::string& path) {
 }
 
 bool CompareReport::has_regression() const {
-  if (missing > 0) return true;
-  for (const MetricDelta& d : deltas) {
-    if (d.regression) return true;
-  }
-  return false;
-}
-
-namespace {
-
-double rel_delta(double baseline, double current) {
-  const double denom = std::max(std::abs(baseline), 1e-12);
-  return (current - baseline) / denom;
-}
-
-/// Append a delta row when the metric moved; `bad_direction` is +1 when an
-/// increase is a regression (cycles, launches, faults), -1 when a decrease
-/// is (warp efficiency), and 0 when *any* move beyond the threshold is a
-/// regression (two-sided: deterministic telemetry series where drift in
-/// either direction means the schedule changed — there is no "improvement").
-void diff_metric(CompareReport& report, const std::string& suite,
-                 const std::string& key, const std::string& metric,
-                 double baseline, double current, int bad_direction,
-                 double threshold) {
-  if (baseline == current) return;
-  MetricDelta d;
-  d.suite = suite;
-  d.key = key;
-  d.metric = metric;
-  d.baseline = baseline;
-  d.current = current;
-  d.rel_delta = rel_delta(baseline, current);
-  if (bad_direction == 0) {
-    d.regression = std::abs(d.rel_delta) > threshold;
-    d.improvement = false;
-  } else {
-    d.regression = d.rel_delta * bad_direction > threshold;
-    d.improvement = d.rel_delta * bad_direction < -threshold;
-  }
-  report.deltas.push_back(std::move(d));
-}
-
-}  // namespace
-
-CompareReport compare_results(const SuiteResult& baseline,
-                              const SuiteResult& current,
-                              const CompareOptions& opt) {
-  CompareReport report;
-  std::map<std::string, const Measurement*> current_by_key;
-  for (const Measurement& m : current.measurements) {
-    current_by_key[m.key()] = &m;
-  }
-  std::map<std::string, bool> baseline_keys;
-  for (const Measurement& b : baseline.measurements) {
-    const std::string key = b.key();
-    baseline_keys[key] = true;
-    const auto it = current_by_key.find(key);
-    if (it == current_by_key.end()) {
-      ++report.missing;
-      continue;
-    }
-    ++report.matched;
-    const Measurement& c = *it->second;
-    const auto gate = [&](const std::string& metric, double bv, double cv,
-                          int bad_direction) {
-      diff_metric(report, baseline.suite, key, metric, bv, cv, bad_direction,
-                  opt.threshold);
-    };
-    gate("cycles", b.cycles, c.cycles, +1);
-    gate("warp_efficiency", b.warp_efficiency, c.warp_efficiency, -1);
-    gate("device_launches", b.device_launches, c.device_launches, +1);
-    gate("host_launches", b.host_launches, c.host_launches, +1);
-    gate("degraded", b.robustness.degraded, c.robustness.degraded, +1);
-    gate("refused", b.robustness.refused_total(),
-         c.robustness.refused_total(), +1);
-  }
-  for (const Measurement& c : current.measurements) {
-    if (!baseline_keys.count(c.key())) ++report.added;
-  }
-  return report;
-}
-
-CompareReport compare_serve(const SuiteResult& baseline,
-                            const SuiteResult& current,
-                            const CompareOptions& opt) {
-  CompareReport report;
-  std::map<std::string, const ServeRecord*> current_by_key;
-  for (const ServeRecord& r : current.serve) {
-    current_by_key[r.key()] = &r;
-  }
-  std::map<std::string, bool> baseline_keys;
-  for (const ServeRecord& b : baseline.serve) {
-    const std::string key = b.key();
-    baseline_keys[key] = true;
-    const auto it = current_by_key.find(key);
-    if (it == current_by_key.end()) {
-      ++report.missing;
-      continue;
-    }
-    ++report.matched;
-    const ServeRecord& c = *it->second;
-    const serve::ServeStats& bs = b.stats;
-    const serve::ServeStats& cs = c.stats;
-    const std::string suite = baseline.suite + " [serve]";
-    const auto gate = [&](const std::string& metric, double bv, double cv,
-                          int bad_direction) {
-      diff_metric(report, suite, key, metric, bv, cv, bad_direction,
-                  opt.threshold);
-    };
-    gate("wrong", bs.wrong, cs.wrong, +1);
-    gate("ok", bs.ok, cs.ok, -1);
-    gate("expired", bs.expired, cs.expired, +1);
-    gate("shed", bs.shed, cs.shed, +1);
-    gate("retries", bs.retries, cs.retries, +1);
-    gate("breaker_trips", bs.breaker_trips, cs.breaker_trips, +1);
-    gate("faults_injected", bs.faults_injected, cs.faults_injected, +1);
-    gate("p50_us", bs.p50_us, cs.p50_us, +1);
-    gate("p99_us", bs.p99_us, cs.p99_us, +1);
-    gate("qps_ok", bs.qps_ok, cs.qps_ok, -1);
-    // Tail-latency attribution: growth in any single phase's share is a
-    // regression even when the total p99 held (it means time moved between
-    // phases — a scheduling change worth a look).
-    gate("p99_queue_us", bs.p99_queue_us, cs.p99_queue_us, +1);
-    gate("p99_batch_us", bs.p99_batch_us, cs.p99_batch_us, +1);
-    gate("p99_exec_us", bs.p99_exec_us, cs.p99_exec_us, +1);
-    gate("p99_retry_us", bs.p99_retry_us, cs.p99_retry_us, +1);
-    // Device-cost attribution: total modeled device cycles and launches are
-    // pure functions of the schedule, so they gate two-sided — any drift
-    // means the scheduled work changed. Per-tenant rollups match by tenant
-    // id; a tenant the current run dropped diffs against zero.
-    gate("device_cycles_total", bs.device_cycles_total,
-         cs.device_cycles_total, 0);
-    gate("fault_device_cycles_total", bs.fault_device_cycles_total,
-         cs.fault_device_cycles_total, 0);
-    gate("launches_total", bs.launches_total, cs.launches_total, 0);
-    for (const serve::TenantUsage& bt : b.tenants) {
-      serve::TenantUsage cv;
-      for (const serve::TenantUsage& cand : c.tenants) {
-        if (cand.tenant == bt.tenant) {
-          cv = cand;
-          break;
-        }
-      }
-      const std::string prefix = "tenant/" + std::to_string(bt.tenant) + "/";
-      gate(prefix + "requests", bt.requests, cv.requests, 0);
-      gate(prefix + "ok", bt.ok, cv.ok, 0);
-      gate(prefix + "launches", bt.launches, cv.launches, 0);
-      gate(prefix + "retries", bt.retries, cv.retries, 0);
-      gate(prefix + "device_cycles", bt.device_cycles, cv.device_cycles, 0);
-      gate(prefix + "fault_device_cycles", bt.fault_device_cycles,
-           cv.fault_device_cycles, 0);
-    }
-    // Telemetry series rollups, two-sided: the series are pure functions of
-    // the schedule, so any drift (up or down) in sample count, peak, or mean
-    // flags a behavioral change. A series the current run dropped entirely
-    // diffs its sample count against zero.
-    for (const serve::TimeSeries& bts : b.telemetry) {
-      const serve::TimeSeries* cts = nullptr;
-      for (const serve::TimeSeries& cand : c.telemetry) {
-        if (cand.name == bts.name) {
-          cts = &cand;
-          break;
-        }
-      }
-      const std::string prefix = "telemetry/" + bts.name + "/";
-      gate(prefix + "samples", bts.points.size(),
-           cts ? cts->points.size() : 0, 0);
-      if (cts != nullptr) {
-        gate(prefix + "max", bts.max_value(), cts->max_value(), 0);
-        gate(prefix + "mean", bts.mean_value(), cts->mean_value(), 0);
-      }
-    }
-  }
-  for (const ServeRecord& c : current.serve) {
-    if (!baseline_keys.count(c.key())) ++report.added;
-  }
-  return report;
+  return missing > 0 || !deltas.empty();
 }
 
 namespace {
@@ -921,19 +746,16 @@ void flatten(const JsonValue& v, const std::string& path, Fields& out) {
   }
 }
 
-/// The fields of each record in `doc`'s `array` member, paired with the
-/// record's match key (`keys` is in document order).
-std::vector<std::pair<std::string, Fields>> record_fields(
-    const std::string& doc, const char* array,
-    const std::vector<std::string>& keys) {
-  const JsonValue root = parse_json(doc);
+using Records = std::vector<std::pair<std::string, Fields>>;
+
+/// Appends the fields of each record in `root`'s `array` member to `out`,
+/// paired with the record's match key (`keys` is in document order).
+void append_records(const JsonValue& root, const char* array,
+                    const std::vector<std::string>& keys, Records& out) {
   const JsonArray& records = require_arr(as_object(root, "document"), array);
-  std::vector<std::pair<std::string, Fields>> out(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    out[i].first = keys[i];
-    flatten(records[i], "", out[i].second);
+    flatten(records[i], "", out.emplace_back(keys[i], Fields{}).second);
   }
-  return out;
 }
 
 bool same_field(const JsonValue& a, const JsonValue& b) {
@@ -951,8 +773,7 @@ double field_number(const JsonValue* v) {
 }
 
 void diff_exact(CompareReport& report, const std::string& suite,
-                const std::vector<std::pair<std::string, Fields>>& baseline,
-                const std::vector<std::pair<std::string, Fields>>& current) {
+                const Records& baseline, const Records& current) {
   // A key can repeat (a sweep point measured twice): the n-th baseline
   // record with a key pairs with the n-th current one.
   std::map<std::string, std::vector<std::size_t>> current_pos;
@@ -990,8 +811,7 @@ void diff_exact(CompareReport& report, const std::string& suite,
       d.metric = metric;
       d.baseline = b;
       d.current = c;
-      d.rel_delta = rel_delta(b, c);
-      d.regression = true;
+      d.rel_delta = (c - b) / std::max(std::abs(b), 1e-12);
       report.deltas.push_back(std::move(d));
     };
     if (in_order[rank++] != match[bi]) {
@@ -1015,11 +835,31 @@ void diff_exact(CompareReport& report, const std::string& suite,
 }
 
 template <class Record>
-std::vector<std::string> record_keys(const std::vector<Record>& records) {
+Records suite_records(const std::string& doc, const char* array,
+                      const std::vector<Record>& records) {
   std::vector<std::string> keys;
   keys.reserve(records.size());
   for (const Record& r : records) keys.push_back(r.key());
-  return keys;
+  Records out;
+  append_records(parse_json(doc), array, keys, out);
+  return out;
+}
+
+/// The `kernels` entries keyed by name, after one record that holds every
+/// other field of the document.
+Records profile_records(const SuiteProfile& profile) {
+  const JsonValue root = parse_json(to_json(profile));
+  std::vector<std::string> names;
+  names.reserve(profile.prof.kernels.size());
+  for (const simt::KernelProfile& k : profile.prof.kernels) {
+    names.push_back(k.name);
+  }
+  Records out{{"(profile)", {}}};
+  for (const auto& [k, v] : root.object()) {
+    if (k != "kernels") flatten(v, k, out[0].second);
+  }
+  append_records(root, "kernels", names, out);
+  return out;
 }
 
 }  // namespace
@@ -1028,15 +868,21 @@ CompareReport compare_exact(const SuiteResult& baseline,
                             const SuiteResult& current) {
   CompareReport report;
   diff_exact(report, baseline.suite,
-             record_fields(to_json(baseline), "measurements",
-                           record_keys(baseline.measurements)),
-             record_fields(to_json(current), "measurements",
-                           record_keys(current.measurements)));
+             suite_records(to_json(baseline), "measurements",
+                           baseline.measurements),
+             suite_records(to_json(current), "measurements",
+                           current.measurements));
   diff_exact(report, baseline.suite + " [serve]",
-             record_fields(to_serve_json(baseline), "records",
-                           record_keys(baseline.serve)),
-             record_fields(to_serve_json(current), "records",
-                           record_keys(current.serve)));
+             suite_records(to_serve_json(baseline), "records", baseline.serve),
+             suite_records(to_serve_json(current), "records", current.serve));
+  return report;
+}
+
+CompareReport compare_exact(const SuiteProfile& baseline,
+                            const SuiteProfile& current) {
+  CompareReport report;
+  diff_exact(report, baseline.suite + " [prof]", profile_records(baseline),
+             profile_records(current));
   return report;
 }
 

@@ -26,13 +26,13 @@ inline constexpr int kResultSchemaVersion = 1;
 /// point of an experiment, with the deterministic model-side metrics pulled
 /// from its `simt::RunReport`.
 ///
-/// Two kinds of fields coexist:
+/// Three kinds of fields coexist:
 ///  - *Deterministic* fields (`cycles`, `warp_efficiency`, launch counts,
 ///    `robustness`): pure functions of the workload and the device model,
-///    bit-stable across runs, engines, and build types. The comparator gates
-///    regressions on these.
-///  - *Informational* extras (`extra`): carried through the JSON for
-///    plotting but never compared by the regression gate.
+///    bit-stable across runs, engines, and build types.
+///  - *Informational* extras (`extra`): paper-reference values and other
+///    deterministic side data carried through the JSON for plotting. The
+///    exact gate compares them like every other deterministic field.
 ///  - *Volatile* extras (`volatile_extra`, e.g. wall-clock-derived CPU
 ///    speedups): serialized under a separate `"extra_volatile"` key that
 ///    byte-stability comparisons exclude structurally — wall/cpu time
@@ -59,15 +59,15 @@ struct Measurement {
   /// Part of the match key: records with different params never compare.
   std::map<std::string, double> params;
 
-  // Deterministic model-side metrics (compared against baselines).
+  // Deterministic model-side metrics.
   double cycles = 0.0;            ///< Modeled cycles of the whole run.
   double warp_efficiency = 0.0;   ///< Aggregate warp execution efficiency.
   std::uint64_t host_launches = 0;
   std::uint64_t device_launches = 0;
   simt::RobustnessCounters robustness;
 
-  /// Informational metrics (serialized, never compared): paper-reference
-  /// values and other deterministic side data.
+  /// Informational metrics: paper-reference values and other deterministic
+  /// side data.
   std::map<std::string, double> extra;
 
   /// Wall-clock-derived metrics (CPU speedups, ...): serialized as
@@ -115,7 +115,7 @@ struct ServeRecord {
   /// Per-tenant usage rollups (serialized when non-empty).
   std::vector<serve::TenantUsage> tenants;
 
-  /// Informational metrics (serialized when non-empty, never compared).
+  /// Informational metrics (serialized when non-empty).
   std::map<std::string, double> extra;
 
   /// Wall-clock-derived metrics, serialized as `"extra_volatile"` (only when
@@ -206,54 +206,25 @@ std::string write_profile_file(const SuiteProfile& profile,
 /// parse/schema failure.
 SuiteProfile load_profile_file(const std::string& path);
 
-/// Configuration of the thresholded comparison (compare_results /
-/// compare_serve): `threshold` is the relative delta above which a gated
-/// metric counts as a regression (0.05 = 5%). The default gate is
-/// compare_exact, which has no threshold.
-struct CompareOptions {
-  double threshold = 0.05;
-};
-
-/// One metric delta between a matched baseline/current record pair.
+/// One field that differs between a matched baseline/current record pair.
 struct MetricDelta {
   std::string suite;
-  std::string key;       ///< Measurement::key() of the matched pair.
-  std::string metric;    ///< "cycles", "warp_efficiency", ...
+  std::string key;       ///< Match key of the record pair.
+  std::string metric;    ///< JSON path of the field ("cycles", ...).
   double baseline = 0.0;
   double current = 0.0;
   double rel_delta = 0.0;  ///< (current - baseline) / max(|baseline|, eps).
-  bool regression = false;   ///< Moved the bad way past the threshold.
-  bool improvement = false;  ///< Moved the good way past the threshold.
 };
 
-/// Result of comparing one suite (or a whole directory of suites).
+/// Result of comparing one file (or a whole directory of files).
 struct CompareReport {
-  std::vector<MetricDelta> deltas;  ///< Only non-zero deltas are recorded.
+  std::vector<MetricDelta> deltas;  ///< Every field that differs.
   int matched = 0;      ///< Record pairs present on both sides.
   int missing = 0;      ///< Baseline records absent from current (regression).
   int added = 0;        ///< Current records absent from baseline (fine).
+  /// Any delta, in either direction, or any missing record.
   bool has_regression() const;
 };
-
-/// Match records by Measurement::key() and diff the deterministic metrics.
-/// Cycles going *up*, warp efficiency going *down*, device launches going
-/// *up*, or new fault-model activity beyond `threshold` count as regressions;
-/// improvements and informational extras are reported as plain deltas.
-CompareReport compare_results(const SuiteResult& baseline,
-                              const SuiteResult& current,
-                              const CompareOptions& opt);
-
-/// Match serving records by ServeRecord::key() and diff the outcome metrics.
-/// Wrong results, expirations, sheds, retries, breaker trips, fault activity,
-/// or latency percentiles going *up* — or Ok count / Ok throughput going
-/// *down* — beyond `threshold` count as regressions, as does each p99
-/// attribution share going up. Device-cost totals, tenant rollups, and any
-/// telemetry series whose sample count, max, or mean drifts gate in *either*
-/// direction (they are bit-stable, so any drift is a determinism or
-/// scheduling change).
-CompareReport compare_serve(const SuiteResult& baseline,
-                            const SuiteResult& current,
-                            const CompareOptions& opt);
 
 /// The exact gate: match BENCH records by Measurement::key() and SERVE
 /// records by ServeRecord::key(), and diff every serialized field outside
@@ -266,6 +237,13 @@ CompareReport compare_serve(const SuiteResult& baseline,
 /// regressions; added records are not.
 CompareReport compare_exact(const SuiteResult& baseline,
                             const SuiteResult& current);
+
+/// The same exact gate over PROF documents. The records are the `kernels`
+/// entries, keyed by name, preceded by one record (key "(profile)") that
+/// holds every other field of the document: totals, `depth_grids`,
+/// `tracks`, `counters`, `instants`, `critical_path` and `attribution`.
+CompareReport compare_exact(const SuiteProfile& baseline,
+                            const SuiteProfile& current);
 
 /// Merge `b` into `a` (summing match counts and concatenating deltas).
 void merge_compare_reports(CompareReport& a, const CompareReport& b);

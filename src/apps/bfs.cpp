@@ -182,38 +182,28 @@ std::vector<std::uint32_t> bfs_recursive_gpu(Device& dev, const graph::Csr& g,
   if (opt.streams_per_block < 1) {
     throw std::invalid_argument("bfs_recursive_gpu: streams_per_block < 1");
   }
-  if (tmpl == rec::RecTemplate::kFlat) {
+  if (tmpl != rec::RecTemplate::kRecNaive &&
+      tmpl != rec::RecTemplate::kRecHier) {
     throw std::invalid_argument(
-        "bfs_recursive_gpu: use bfs_flat_gpu for the flat template");
+        "bfs_recursive_gpu: template '" + std::string(rec::name(tmpl)) +
+        "' has no recursive BFS instantiation (rec-naive and rec-hier do; "
+        "flat BFS is bfs_flat_gpu)");
   }
   auto level = std::vector<std::uint32_t>(n, kBfsUnreached);
   level[src] = 0;
   if (g.degree(src) == 0) return level;
 
   auto ctx = std::make_shared<BfsCtx>(BfsCtx{&g, level.data(), opt});
-  switch (tmpl) {
-    case rec::RecTemplate::kRecNaive: {
-      LaunchConfig cfg;
-      cfg.grid_blocks = 1;
-      cfg.block_threads = opt.rec_block_size;
-      cfg.name = "bfs/rec-naive";
-      dev.launch(cfg, make_naive_bfs_kernel(ctx, src));
-      break;
-    }
-    case rec::RecTemplate::kRecHier: {
-      LaunchConfig cfg;
-      cfg.grid_blocks = static_cast<int>(g.degree(src));
-      cfg.block_threads = opt.rec_block_size;
-      cfg.name = "bfs/rec-hier";
-      dev.launch(cfg, make_hier_bfs_kernel(ctx, src));
-      break;
-    }
-    case rec::RecTemplate::kFlat:
-      throw std::invalid_argument(
-          "bfs_recursive_gpu: use bfs_flat_gpu for the flat template");
-    case rec::RecTemplate::kAutoropes:
-      throw std::invalid_argument(
-          "bfs_recursive_gpu: autoropes has no BFS instantiation");
+  LaunchConfig cfg;
+  cfg.block_threads = opt.rec_block_size;
+  if (tmpl == rec::RecTemplate::kRecNaive) {
+    cfg.grid_blocks = 1;
+    cfg.name = "bfs/rec-naive";
+    dev.launch(cfg, make_naive_bfs_kernel(ctx, src));
+  } else {
+    cfg.grid_blocks = static_cast<int>(g.degree(src));
+    cfg.name = "bfs/rec-hier";
+    dev.launch(cfg, make_hier_bfs_kernel(ctx, src));
   }
   return level;
 }

@@ -33,7 +33,8 @@ std::vector<std::uint32_t> bfs_flat_gpu(simt::Device& dev,
 /// Recursive (unordered [11]) GPU BFS using the paper's naive or hierarchical
 /// recursion template: traversing a node recursively traverses neighbors
 /// whose level decreased. Not work-efficient; requires atomics. Child grids
-/// are fire-and-forget CDP launches.
+/// are fire-and-forget CDP launches. Any `tmpl` other than kRecNaive or
+/// kRecHier throws std::invalid_argument, as does an out-of-range `src`.
 std::vector<std::uint32_t> bfs_recursive_gpu(simt::Device& dev,
                                              const graph::Csr& g,
                                              std::uint32_t src,

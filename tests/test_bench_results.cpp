@@ -17,18 +17,19 @@
 
 #include "bench/bench_util.h"
 #include "bench/results.h"
+#include "tests/mutate.h"
 
 namespace {
 
 using nestpar::bench::Args;
-using nestpar::bench::CompareOptions;
 using nestpar::bench::compare_exact;
 using nestpar::bench::CompareReport;
-using nestpar::bench::compare_results;
 using nestpar::bench::kResultSchemaVersion;
+using nestpar::bench::load_profile_file;
 using nestpar::bench::Measurement;
 using nestpar::bench::merge_compare_reports;
 using nestpar::bench::parse_result_json;
+using nestpar::bench::SuiteProfile;
 using nestpar::bench::SuiteResult;
 using nestpar::bench::to_json;
 
@@ -144,10 +145,9 @@ TEST(BenchResults, KeyIncludesParams) {
 }
 
 // ---------------------------------------------------------------------------
-// SERVE documents: round-trip, wall-derived rejection, schema-version
-// rejection, and the observability-metric gating in compare_serve.
+// SERVE documents: round-trip, wall-derived rejection, and schema-version
+// rejection.
 
-using nestpar::bench::compare_serve;
 using nestpar::bench::kServeSchemaVersion;
 using nestpar::bench::parse_serve_json;
 using nestpar::bench::ServeRecord;
@@ -368,188 +368,12 @@ TEST(ServeResults, AttributionTotalsAreAlwaysWritten) {
   EXPECT_THROW((void)parse_serve_json(bad), std::runtime_error);
 }
 
-TEST(ServeCompare, TenantDriftIsTwoSided) {
-  const SuiteResult baseline = sample_serve_result_with_tenants();
-
-  // Cycles moving *down* for a tenant is still a regression: attribution is
-  // deterministic, so drift either way means the schedule changed.
-  SuiteResult current = baseline;
-  current.serve[0].tenants[0].device_cycles *= 0.9;
-  CompareReport report = compare_serve(baseline, current, CompareOptions{});
-  EXPECT_TRUE(report.has_regression());
-  bool found = false;
-  for (const auto& d : report.deltas) {
-    if (d.metric == "tenant/0/device_cycles") {
-      found = d.regression;
-      EXPECT_FALSE(d.improvement);
-    }
-  }
-  EXPECT_TRUE(found);
-
-  // A tenant the current run dropped diffs against zero.
-  current = baseline;
-  current.serve[0].tenants.erase(current.serve[0].tenants.begin() + 1);
-  report = compare_serve(baseline, current, CompareOptions{});
-  bool dropped = false;
-  for (const auto& d : report.deltas) {
-    if (d.metric == "tenant/2/requests") {
-      dropped = d.regression;
-      EXPECT_EQ(d.current, 0.0);
-    }
-  }
-  EXPECT_TRUE(dropped);
-
-  // Total device cycles gate two-sided as well.
-  current = baseline;
-  current.serve[0].stats.device_cycles_total *= 1.1;
-  report = compare_serve(baseline, current, CompareOptions{});
-  bool total = false;
-  for (const auto& d : report.deltas) {
-    if (d.metric == "device_cycles_total") total = d.regression;
-  }
-  EXPECT_TRUE(total);
-
-  // Identical records: no deltas.
-  report = compare_serve(baseline, baseline, CompareOptions{});
-  EXPECT_TRUE(report.deltas.empty());
-}
-
-TEST(ServeCompare, P99SplitGrowthIsARegression) {
-  const SuiteResult baseline = sample_serve_result();
-  SuiteResult current = baseline;
-  current.serve[0].stats.p99_queue_us *= 1.5;  // Tail moved into queueing.
-  const CompareReport report =
-      compare_serve(baseline, current, CompareOptions{});
-  EXPECT_TRUE(report.has_regression());
-  bool found = false;
-  for (const auto& d : report.deltas) {
-    if (d.metric == "p99_queue_us") found = d.regression;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(ServeCompare, TelemetryDriftIsTwoSided) {
-  const SuiteResult baseline = sample_serve_result();
-
-  // Mean moving *down* is still a regression: the series is deterministic,
-  // so any drift means the schedule changed.
-  SuiteResult current = baseline;
-  for (auto& p : current.serve[0].telemetry[0].points) p.value *= 0.5;
-  CompareReport report = compare_serve(baseline, current, CompareOptions{});
-  EXPECT_TRUE(report.has_regression());
-  bool improvement = false;
-  for (const auto& d : report.deltas) improvement |= d.improvement;
-  EXPECT_FALSE(improvement) << "two-sided metrics have no improvements";
-
-  // A dropped series diffs its sample count against zero.
-  current = baseline;
-  current.serve[0].telemetry.clear();
-  report = compare_serve(baseline, current, CompareOptions{});
-  EXPECT_TRUE(report.has_regression());
-  bool samples = false;
-  for (const auto& d : report.deltas) {
-    if (d.metric == "telemetry/shard0/queue_depth/samples") {
-      samples = d.regression;
-      EXPECT_EQ(d.current, 0.0);
-    }
-  }
-  EXPECT_TRUE(samples);
-
-  // Unchanged telemetry produces no deltas at all.
-  report = compare_serve(baseline, baseline, CompareOptions{});
-  EXPECT_FALSE(report.has_regression());
-  EXPECT_TRUE(report.deltas.empty());
-}
-
-TEST(BenchCompare, FlagsInjectedCycleRegression) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].cycles *= 1.20;  // 20% slower than baseline
-  const CompareReport rep =
-      compare_results(baseline, current, CompareOptions{.threshold = 0.05});
-  EXPECT_TRUE(rep.has_regression());
-  ASSERT_EQ(rep.deltas.size(), 1u);
-  EXPECT_EQ(rep.deltas[0].metric, "cycles");
-  EXPECT_TRUE(rep.deltas[0].regression);
-  EXPECT_NEAR(rep.deltas[0].rel_delta, 0.20, 1e-9);
-  EXPECT_EQ(rep.matched, 2);
-}
-
-TEST(BenchCompare, ImprovementsAndSmallDeltasAreNotRegressions) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].cycles *= 0.80;           // faster: fine
-  current.measurements[1].warp_efficiency += 0.10;  // better: fine
-  const CompareReport rep =
-      compare_results(baseline, current, CompareOptions{.threshold = 0.05});
-  EXPECT_FALSE(rep.has_regression());
-  EXPECT_EQ(rep.deltas.size(), 2u);  // reported as plain deltas
-}
-
-TEST(BenchCompare, WarpEfficiencyDropIsARegression) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[1].warp_efficiency *= 0.5;
-  const CompareReport rep =
-      compare_results(baseline, current, CompareOptions{.threshold = 0.05});
-  EXPECT_TRUE(rep.has_regression());
-}
-
-TEST(BenchCompare, MissingBaselineRecordIsARegression) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements.pop_back();
-  const CompareReport rep =
-      compare_results(baseline, current, CompareOptions{});
-  EXPECT_EQ(rep.missing, 1);
-  EXPECT_TRUE(rep.has_regression());
-}
-
-TEST(BenchCompare, AddedRecordsAreFine) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  Measurement extra;
-  extra.tmpl = "new-variant";
-  extra.dataset = "citeseer";
-  current.measurements.push_back(extra);
-  const CompareReport rep =
-      compare_results(baseline, current, CompareOptions{});
-  EXPECT_EQ(rep.added, 1);
-  EXPECT_FALSE(rep.has_regression());
-}
-
-TEST(BenchCompare, ThresholdIsConfigurable) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].cycles *= 1.20;
-  EXPECT_FALSE(compare_results(baseline, current,
-                               CompareOptions{.threshold = 0.25})
-                   .has_regression());
-  EXPECT_TRUE(compare_results(baseline, current,
-                              CompareOptions{.threshold = 0.10})
-                  .has_regression());
-}
-
-TEST(BenchCompare, MergeAccumulatesCounts) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].cycles *= 1.5;
-  const CompareReport one =
-      compare_results(baseline, current, CompareOptions{});
-  CompareReport total;
-  merge_compare_reports(total, one);
-  merge_compare_reports(total, one);
-  EXPECT_EQ(total.matched, 2 * one.matched);
-  EXPECT_EQ(total.deltas.size(), 2 * one.deltas.size());
-  EXPECT_TRUE(total.has_regression());
-}
-
-// The exact gate (compare_results' default): every serialized field outside
-// extra_volatile must match, in either direction.
+// The exact gate: every serialized field outside extra_volatile must match,
+// in either direction.
 
 bool has_delta(const CompareReport& rep, const std::string& metric) {
   for (const auto& d : rep.deltas) {
-    if (d.metric == metric) return d.regression;
+    if (d.metric == metric) return true;
   }
   return false;
 }
@@ -567,8 +391,7 @@ TEST(ExactCompare, AnyDeltaInEitherDirectionIsARegression) {
   current.measurements[0].cycles -= 1.0;  // Faster is still drift.
   current.measurements[1].warp_efficiency += 1e-9;
   current.measurements[0].robustness.retries = 3;
-  current.measurements[0].extra["speedup"] = 1.88;  // Never gated by
-                                                    // threshold mode.
+  current.measurements[0].extra["speedup"] = 1.88;
   const CompareReport rep = compare_exact(baseline, current);
   EXPECT_TRUE(rep.has_regression());
   EXPECT_EQ(rep.deltas.size(), 4u);
@@ -576,7 +399,15 @@ TEST(ExactCompare, AnyDeltaInEitherDirectionIsARegression) {
   EXPECT_TRUE(has_delta(rep, "warp_efficiency"));
   EXPECT_TRUE(has_delta(rep, "robustness/retries"));
   EXPECT_TRUE(has_delta(rep, "extra/speedup"));
-  for (const auto& d : rep.deltas) EXPECT_FALSE(d.improvement);
+  EXPECT_EQ(rep.deltas[0].rel_delta, -1.0 / 1234567.0);
+
+  // Merging reports (one per file) sums counts and keeps every delta.
+  CompareReport total;
+  merge_compare_reports(total, rep);
+  merge_compare_reports(total, rep);
+  EXPECT_EQ(total.matched, 2 * rep.matched);
+  EXPECT_EQ(total.deltas.size(), 2 * rep.deltas.size());
+  EXPECT_TRUE(total.has_regression());
 }
 
 TEST(ExactCompare, OneSidedFieldsReportNaN) {
@@ -588,7 +419,7 @@ TEST(ExactCompare, OneSidedFieldsReportNaN) {
   EXPECT_EQ(rep.deltas[0].metric, "extra/new_metric");
   EXPECT_TRUE(std::isnan(rep.deltas[0].baseline));
   EXPECT_EQ(rep.deltas[0].current, 2.0);
-  EXPECT_TRUE(rep.deltas[0].regression);
+  EXPECT_TRUE(rep.has_regression());
 }
 
 TEST(ExactCompare, VolatileExtrasAreNeverCompared) {
@@ -663,16 +494,90 @@ TEST(ExactCompare, ReorderedRecordsFail) {
 }
 
 TEST(ExactCompare, ServeFieldsAndTelemetryPointsAreCompared) {
-  const SuiteResult baseline = sample_serve_result();
+  const SuiteResult baseline = sample_serve_result_with_tenants();
   SuiteResult current = baseline;
-  current.serve[0].stats.p95_us = 379.0;  // Not gated by threshold mode.
+  current.serve[0].stats.p95_us = 379.0;
   current.serve[0].telemetry[0].points[1].value = 3.0;
-  const CompareReport rep = compare_exact(baseline, current);
+  CompareReport rep = compare_exact(baseline, current);
   EXPECT_EQ(rep.matched, 1);
   EXPECT_EQ(rep.deltas.size(), 2u);
   EXPECT_TRUE(has_delta(rep, "p95_us"));
   EXPECT_TRUE(has_delta(rep, "telemetry/0/points/1/1"));
   EXPECT_EQ(rep.deltas[0].suite, "serve_latency [serve]");
+
+  // A drop in total device cycles is drift like any other.
+  current = baseline;
+  current.serve[0].stats.device_cycles_total *= 0.9;
+  rep = compare_exact(baseline, current);
+  ASSERT_EQ(rep.deltas.size(), 1u);
+  EXPECT_EQ(rep.deltas[0].metric, "device_cycles_total");
+  EXPECT_NEAR(rep.deltas[0].rel_delta, -0.1, 1e-12);
+
+  // A tenant or a telemetry series the current run dropped leaves every one
+  // of its fields one-sided.
+  current = baseline;
+  current.serve[0].tenants.pop_back();
+  rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.deltas.size(), 7u);  // The tenant's seven fields.
+  EXPECT_TRUE(has_delta(rep, "tenants/1/requests"));
+  for (const auto& d : rep.deltas) EXPECT_TRUE(std::isnan(d.current));
+
+  current = baseline;
+  current.serve[0].telemetry.clear();
+  rep = compare_exact(baseline, current);
+  EXPECT_TRUE(has_delta(rep, "telemetry/0/name"));
+  EXPECT_TRUE(has_delta(rep, "telemetry/0/points/2/1"));
+  for (const auto& d : rep.deltas) EXPECT_TRUE(std::isnan(d.current));
+}
+
+TEST(ExactCompare, ProfileFieldsAreCompared) {
+  const SuiteProfile baseline = load_profile_file(
+      (std::filesystem::path(NESTPAR_BASELINE_DIR) / "PROF_fig5_sssp.json")
+          .string());
+  ASSERT_GE(baseline.prof.kernels.size(), 3u);
+  ASSERT_FALSE(baseline.prof.crit_chain.empty());
+  // One record for the document plus one per kernel.
+  CompareReport rep = compare_exact(baseline, baseline);
+  EXPECT_EQ(rep.matched, 1 + static_cast<int>(baseline.prof.kernels.size()));
+  EXPECT_TRUE(rep.deltas.empty());
+
+  // A lane-histogram bucket, a critical-path category, and a 1% busy-cycles
+  // change are each a delta, named by the kernel or the document record.
+  SuiteProfile current = baseline;
+  nestpar::simt::KernelProfile& k = current.prof.kernels[0];
+  ASSERT_GT(k.lane_hist[1], 0u);
+  k.lane_hist[1] += 1;
+  k.busy_cycles *= 1.01;
+  auto& seg = current.prof.crit_chain[0];
+  seg.category = seg.category == nestpar::simt::CritCategory::kLaunch
+                     ? nestpar::simt::CritCategory::kCompute
+                     : nestpar::simt::CritCategory::kLaunch;
+  rep = compare_exact(baseline, current);
+  EXPECT_TRUE(rep.has_regression());
+  ASSERT_EQ(rep.deltas.size(), 3u);
+  EXPECT_EQ(rep.deltas[0].suite, "fig5_sssp [prof]");
+  EXPECT_EQ(rep.deltas[0].key, "(profile)");
+  EXPECT_EQ(rep.deltas[0].metric, "critical_path/chain/0/category");
+  EXPECT_EQ(rep.deltas[1].key, k.name);
+  EXPECT_EQ(rep.deltas[1].metric, "busy_cycles");
+  EXPECT_NEAR(rep.deltas[1].rel_delta, 0.01, 1e-12);
+  EXPECT_EQ(rep.deltas[2].metric, "lane_hist/1");
+  EXPECT_EQ(rep.deltas[2].current, rep.deltas[2].baseline + 1);
+
+  // A missing kernel fails; a reordered one reports its position.
+  current = baseline;
+  current.prof.kernels.erase(current.prof.kernels.begin() + 1);
+  rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.missing, 1);
+  EXPECT_TRUE(rep.deltas.empty());
+  EXPECT_TRUE(rep.has_regression());
+
+  current = baseline;
+  std::swap(current.prof.kernels[0], current.prof.kernels[2]);
+  rep = compare_exact(baseline, current);
+  EXPECT_EQ(rep.missing, 0);
+  EXPECT_TRUE(has_delta(rep, "position"));
+  EXPECT_TRUE(rep.has_regression());
 }
 
 TEST(BenchArgs, DuplicateFlagKeepsLastValue) {
@@ -771,29 +676,6 @@ TEST(ResultBaselines, ReserializeByteForByte) {
   EXPECT_GE(seen, 36);
 }
 
-/// One seeded mutation: flip a bit, overwrite a byte with a JSON-structural
-/// character, delete a short span, or truncate.
-std::string mutate(const std::string& text, std::mt19937_64& rng) {
-  static constexpr char kStructural[] = "{}[]\",:-.0123456789eEtfn ";
-  std::string m = text;
-  const std::size_t pos = rng() % m.size();
-  switch (rng() % 4) {
-    case 0:
-      m[pos] = static_cast<char>(m[pos] ^ (1u << (rng() % 8)));
-      break;
-    case 1:
-      m[pos] = kStructural[rng() % (sizeof(kStructural) - 1)];
-      break;
-    case 2:
-      m.erase(pos, 1 + rng() % 16);
-      break;
-    default:
-      m.resize(pos);
-      break;
-  }
-  return m;
-}
-
 TEST(ResultBaselines, MutantsParseOrThrowRuntimeError) {
   const char* const files[] = {"BENCH_simulator_throughput.json",
                                "SERVE_serve_latency.json",
@@ -806,7 +688,7 @@ TEST(ResultBaselines, MutantsParseOrThrowRuntimeError) {
     ASSERT_FALSE(text.empty());
     int rejected = 0;
     for (int i = 0; i < 1500; ++i) {
-      const std::string m = mutate(text, rng);
+      const std::string m = nestpar::test::mutate(text, rng);
       try {
         (void)reserialize(file, m, /*parse_only=*/true);
       } catch (const std::runtime_error&) {

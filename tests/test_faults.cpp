@@ -9,7 +9,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <random>
+#include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "src/apps/bfs.h"
@@ -22,6 +26,7 @@
 #include "src/simt/exec_policy.h"
 #include "src/simt/fault.h"
 #include "src/tree/tree.h"
+#include "tests/mutate.h"
 
 namespace simt = nestpar::simt;
 namespace nested = nestpar::nested;
@@ -97,6 +102,25 @@ TEST(FaultConfigParsing, RejectsMalformedSpecs) {
   EXPECT_THROW(simt::FaultConfig::parse("launch=-0.5"),
                std::invalid_argument);
   EXPECT_THROW(simt::FaultConfig::parse("seed=abc"), std::invalid_argument);
+}
+
+TEST(FaultConfigParsing, MutantsParseOrThrowInvalidArgument) {
+  const std::string spec =
+      "launch=0.05,host=0.01,seed=42,retries=5,backoff=750";
+  std::mt19937_64 rng(20150707);
+  int rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string m = nestpar::test::mutate(spec, rng);
+    try {
+      (void)simt::FaultConfig::parse(m);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant '" << m << "' escaped as " << typeid(e).name()
+                    << ": " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FaultConfigParsing, ErrorStringsAndTransience) {

@@ -1,13 +1,19 @@
 // Graph substrate tests: CSR invariants, builders, transpose, generators
 // (degree calibration against the paper's dataset statistics), and I/O
-// round-trips for the three supported formats.
+// round-trips for the three supported formats, and seeded mutants of each
+// format's sample that must parse or fail with graph::IoError.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <random>
 #include <sstream>
+#include <string>
+#include <typeinfo>
 
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
+#include "tests/mutate.h"
 
 namespace g = nestpar::graph;
 
@@ -252,6 +258,56 @@ TEST(GraphIo, MatrixMarketRejectsMalformed) {
 TEST(GraphIo, MissingFileThrows) {
   EXPECT_THROW(g::load_dimacs_file("/nonexistent/path.gr"),
                std::runtime_error);
+}
+
+TEST(GraphIo, MutantsParseOrThrowIoError) {
+  using Loader = g::Csr (*)(std::istream&);
+  const std::pair<Loader, const char*> samples[] = {
+      {&g::load_dimacs,
+       "c sample\n"
+       "p sp 4 5\n"
+       "a 1 2 5.5\n"
+       "a 1 3 2\n"
+       "a 2 4 1\n"
+       "a 3 4 0.25\n"
+       "a 4 1 7\n"},
+      {&g::load_edge_list,
+       "# Directed graph\n"
+       "# FromNodeId\tToNodeId\n"
+       "0\t1\n"
+       "0\t2\n"
+       "1\t3\n"
+       "3\t0\n"},
+      {&g::load_matrix_market,
+       "%%MatrixMarket matrix coordinate real general\n"
+       "% comment\n"
+       "3 4 4\n"
+       "1 2 4.0\n"
+       "2 4 1e-3\n"
+       "3 1 -1.5\n"
+       "3 3 2\n"},
+  };
+  std::mt19937_64 rng(20150707);
+  for (const auto& [load, text] : samples) {
+    SCOPED_TRACE(text);
+    {
+      std::istringstream in(text);
+      ASSERT_NO_THROW((void)load(in));
+    }
+    int rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+      std::istringstream in(nestpar::test::mutate(text, rng));
+      try {
+        (void)load(in);
+      } catch (const g::IoError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << i << " escaped as " << typeid(e).name()
+                      << ": " << e.what();
+      }
+    }
+    EXPECT_GT(rejected, 0);
+  }
 }
 
 }  // namespace

@@ -287,9 +287,14 @@ TEST(Bfs, SourceOutOfRangeThrows) {
   EXPECT_THROW(
       apps::bfs_recursive_gpu(dev, g, 5, RecTemplate::kRecNaive),
       std::invalid_argument);
-  EXPECT_THROW(
-      apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kFlat),
-      std::invalid_argument);
+  // Only rec-naive and rec-hier have a recursive BFS; every other template
+  // is refused, even for a source with no edges.
+  for (const RecTemplate t : {RecTemplate::kFlat, RecTemplate::kAutoropes,
+                              RecTemplate::kRecCons}) {
+    SCOPED_TRACE(rec::name(t));
+    EXPECT_THROW(apps::bfs_recursive_gpu(dev, g, 0, t),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 //
 //   nestpar_prof PATH [--top=N]
 //   nestpar_prof --critpath PATH [--top=N] [--folded=FILE]
-//   nestpar_prof --diff BASELINE CURRENT [--top=N] [--threshold=0.05]
-//                [--strict]
 //
 // PATH is one profile file or a directory of PROF_*.json files. The report
 // shows, per suite: the top-N kernels by busy cycles with their
@@ -21,14 +19,10 @@
 // ("suite;kernel-ancestry;[category] cycles" — flamegraph.pl / speedscope
 // format).
 //
-// `--diff` matches kernels by name across two profile sets and reports
-// busy-cycle and imbalance movements beyond the threshold as improvements or
-// regressions. By default the diff is an annotation and exits 0; `--strict`
-// turns annotated drift into exit code 1 so CI can gate on it. Both sides
-// must be at the current profile schema; regenerate older files.
+// This tool reads profiles; it does not gate them. `compare_results`
+// compares PROF files against their baselines exactly, field by field.
 //
-// Exit codes: 0 report printed (with --strict: no drift), 1 drift under
-// --strict, 2 usage or I/O error.
+// Exit codes: 0 report printed, 2 usage or I/O error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -55,8 +49,6 @@ namespace slog = nestpar::simt::log;
 constexpr const char* kUsage =
     "usage: nestpar_prof PATH [--top=N]\n"
     "       nestpar_prof --critpath PATH [--top=N] [--folded=FILE]\n"
-    "       nestpar_prof --diff BASELINE CURRENT [--top=N] "
-    "[--threshold=0.05] [--strict]\n"
     "  PATH is a PROF_<suite>.json file or a directory of them";
 
 // Loads one file, or every PROF_*.json inside a directory, keyed by suite.
@@ -263,73 +255,6 @@ void write_folded(std::FILE* out,
   }
 }
 
-void diff_suite(const bench::SuiteProfile& base,
-                const bench::SuiteProfile& cur, double threshold,
-                int& moved) {
-  for (const simt::KernelProfile& b : base.prof.kernels) {
-    const simt::KernelProfile* c = cur.prof.find(b.name);
-    if (c == nullptr) {
-      std::printf("  %-44s missing from current\n", b.name.c_str());
-      ++moved;
-      continue;
-    }
-    const auto classify = [&](double bv, double cv, bool up_is_bad,
-                              const char* metric) {
-      const double denom = std::max(std::abs(bv), 1e-12);
-      const double rel = (cv - bv) / denom;
-      if (std::abs(rel) <= threshold) return;
-      const bool bad = up_is_bad ? rel > 0 : rel < 0;
-      std::printf("  %-44s %-10s %12.2f -> %12.2f (%+6.1f%%) %s\n",
-                  b.name.c_str(), metric, bv, cv, rel * 100.0,
-                  bad ? "REGRESSED" : "IMPROVED");
-      ++moved;
-    };
-    classify(b.busy_cycles, c->busy_cycles, /*up_is_bad=*/true, "busy");
-    classify(b.imbalance(), c->imbalance(), /*up_is_bad=*/true, "imbal");
-    classify(b.warp_efficiency(), c->warp_efficiency(), /*up_is_bad=*/false,
-             "warp-eff");
-  }
-  for (const simt::KernelProfile& c : cur.prof.kernels) {
-    if (base.prof.find(c.name) == nullptr) {
-      std::printf("  %-44s new in current\n", c.name.c_str());
-    }
-  }
-}
-
-int run_diff(const std::string& base_path, const std::string& cur_path,
-             std::size_t top, double threshold, bool strict) {
-  (void)top;
-  std::map<std::string, bench::SuiteProfile> base;
-  std::map<std::string, bench::SuiteProfile> cur;
-  try {
-    base = load(base_path);
-    cur = load(cur_path);
-  } catch (const std::runtime_error& e) {
-    slog::error("error: %s\n", e.what());
-    return 2;
-  }
-  int moved = 0;
-  for (const auto& [suite, b] : base) {
-    const auto it = cur.find(suite);
-    if (it == cur.end()) {
-      std::printf("suite %-24s MISSING from current\n", suite.c_str());
-      ++moved;
-      continue;
-    }
-    std::printf("suite %s:\n", suite.c_str());
-    diff_suite(b, it->second, threshold, moved);
-  }
-  for (const auto& [suite, c] : cur) {
-    if (!base.count(suite)) {
-      std::printf("suite %-24s new in current (no baseline)\n", suite.c_str());
-    }
-  }
-  std::printf("\n%d profile metric(s) moved beyond %.1f%%\n", moved,
-              threshold * 100.0);
-  // Annotation by default; a gate only when the caller asked for one.
-  return strict && moved > 0 ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -342,32 +267,18 @@ int main(int argc, char** argv) {
     (arg.rfind("--", 0) == 0 || arg == "-h" ? flags : paths).push_back(arg);
   }
   const bench::Args args(flags, kUsage);
-  const bool diff = args.get_flag("diff");
   const bool critpath = args.get_flag("critpath");
-  const bool strict = args.get_flag("strict");
   const std::string folded_path = args.get_string("folded", "");
   std::size_t top = 10;
-  double threshold = 0.05;
   try {
     const std::int64_t top_flag = args.get_int("top", 10);
-    threshold = args.get_double("threshold", 0.05);
     if (top_flag < 0) throw std::invalid_argument("flag '--top' must be >= 0");
-    if (threshold < 0.0) {
-      throw std::invalid_argument("flag '--threshold' must be >= 0");
-    }
     top = static_cast<std::size_t>(top_flag);
   } catch (const std::invalid_argument& e) {
     slog::error("error: %s\n%s\n", e.what(), kUsage);
     return 2;
   }
 
-  if (diff) {
-    if (paths.size() != 2) {
-      slog::error("--diff needs exactly two paths\n%s\n", kUsage);
-      return 2;
-    }
-    return run_diff(paths[0], paths[1], top, threshold, strict);
-  }
   if (paths.size() != 1) {
     slog::error("%s\n", kUsage);
     return 2;

@@ -20,7 +20,6 @@ struct BfsRecOptions {
   /// 1 = default child stream per block; 2 adds one extra stream per block
   /// (the paper's "-stream" variants; more streams only added overhead).
   int streams_per_block = 1;
-  int max_grid_blocks = 65535;
 };
 
 /// Flat GPU BFS: level-synchronous thread-mapped traversal after [5] — the

@@ -96,16 +96,15 @@ class Arena {
 /// std::unordered_map the atomic-hotspot model used per grid — the single
 /// hottest path of the pre-SoA engine (one increment per atomic op per lane).
 /// Linear probing over a power-of-two table, splitmix64 finalizer as the
-/// hash. Only the *maximum* count and order-independent merging are ever
-/// consumed (KernelNode::hottest_atomic_ops), so iteration order is free to
-/// be table order.
+/// hash. Only the *maximum* count is ever consumed
+/// (KernelNode::hottest_atomic_ops), so the order of bumps is free.
 ///
 /// Key 0 is reserved as the empty-slot sentinel; real keys are atomic-unit
 /// indices (address / atomic_segment_bytes) of heap addresses and are never
 /// zero, but a dedicated counter keeps the container total just in case.
 ///
 /// The table is recycled across grids, so every whole-table operation —
-/// max_count, for_each, clear, grow — walks a log of occupied slot indices
+/// max_count, clear, grow — walks a log of occupied slot indices
 /// instead of the table: O(entries used), never O(capacity). A histogram
 /// that once grew large costs nothing extra on later small grids.
 class FlatHist {
@@ -113,35 +112,27 @@ class FlatHist {
   FlatHist() = default;
   FlatHist(const FlatHist&) = delete;
   FlatHist& operator=(const FlatHist&) = delete;
-  FlatHist(FlatHist&& o) noexcept { swap(o); }
-  FlatHist& operator=(FlatHist&& o) noexcept {
-    swap(o);
-    return *this;
-  }
   ~FlatHist() {
     delete[] slots_;
     delete[] used_;
   }
 
   /// Increment the count of `key` by one.
-  void bump(std::uint64_t key) { add(key, 1); }
-
-  /// Increment the count of `key` by `n` (merge building block).
-  void add(std::uint64_t key, std::uint64_t n) {
+  void bump(std::uint64_t key) {
     if (key == 0) {
-      zero_count_ += n;
+      ++zero_count_;
       return;
     }
     if (size_ * 4 >= cap_ * 3) grow();
     std::uint64_t i = mix(key) & (cap_ - 1);
     while (slots_[i].key != 0) {
       if (slots_[i].key == key) {
-        slots_[i].count += n;
+        ++slots_[i].count;
         return;
       }
       i = (i + 1) & (cap_ - 1);
     }
-    slots_[i] = Slot{key, n};
+    slots_[i] = Slot{key, 1};
     used_[size_++] = static_cast<std::uint32_t>(i);
   }
 
@@ -153,18 +144,6 @@ class FlatHist {
       m = std::max(m, slots_[used_[k]].count);
     }
     return m;
-  }
-
-  /// Visit every (key, count) pair in unspecified order. Callers must only
-  /// perform order-independent reductions (Recorder::merge_block sums
-  /// counts per key, then the grid takes the max — both commutative).
-  template <class F>
-  void for_each(F&& f) const {
-    if (zero_count_ > 0) f(std::uint64_t{0}, zero_count_);
-    for (std::uint64_t k = 0; k < size_; ++k) {
-      const Slot& s = slots_[used_[k]];
-      f(s.key, s.count);
-    }
   }
 
   bool empty() const { return size_ == 0 && zero_count_ == 0; }
@@ -193,14 +172,6 @@ class FlatHist {
     x *= 0x94d049bb133111ebull;
     x ^= x >> 31;
     return x;
-  }
-
-  void swap(FlatHist& o) noexcept {
-    std::swap(slots_, o.slots_);
-    std::swap(used_, o.used_);
-    std::swap(cap_, o.cap_);
-    std::swap(size_, o.size_);
-    std::swap(zero_count_, o.zero_count_);
   }
 
   void grow() {
@@ -333,14 +304,14 @@ class FlatIdMap {
 /// lanes of a warp sequentially, so each lane's ops land contiguously in four
 /// parallel columns (kind / count / bytes / addr) separated by recorded lane
 /// offsets — one growable buffer per warp instead of 32 per-lane
-/// std::vector<Op>s. The warp combiner walks the columns step-major; the
+/// std::vector<Op>s. The warp reducer walks the columns step-major; the
 /// branchy AoS `Op` load of the old layout becomes a one-byte kind fetch with
 /// the operand columns touched only by the branch that needs them.
 ///
 /// Ownership/lifetime: a WarpTrace lives inside a detail::BlockScratch and is
 /// recycled for every warp of every phase of every block a host thread runs
 /// at a given nesting depth. Its contents are only valid between
-/// `begin_warp()` and the `combine_warp` call that reduces them; nothing
+/// `begin_warp()` and the `reduce_warp` call that reduces them; nothing
 /// downstream retains pointers into the columns.
 class WarpTrace {
  public:
@@ -358,7 +329,7 @@ class WarpTrace {
   }
 
   /// Mark the start of the next lane's ops. Lanes are recorded in ascending
-  /// lane order — combine_warp and the launch-record ordering rely on it.
+  /// lane order — reduce_warp and the launch-record ordering rely on it.
   void begin_lane() { lane_begin_[lanes_++] = size_; }
 
   /// Append one op for the current lane (writes all four columns).
@@ -372,10 +343,10 @@ class WarpTrace {
     ++size_;
   }
 
-  /// Specialized appends that write only the columns the combiner's arm for
+  /// Specialized appends that write only the columns the reducer's arm for
   /// that kind ever loads (kCompute/kStall: count; global loads/stores:
   /// bytes+addr; shared/atomic/launch ops: addr). The untouched columns keep
-  /// stale bytes at those indices — combine_warp is the trace's only reader
+  /// stale bytes at those indices — reduce_warp is the trace's only reader
   /// and never dereferences a column its op kind doesn't use. Recording is
   /// one store per op hotter than combining, so the skipped columns are a
   /// measurable share of functional-pass memory traffic.
@@ -400,6 +371,7 @@ class WarpTrace {
   }
 
   int lanes() const { return lanes_; }
+  std::uint32_t size() const { return size_; }
   std::uint32_t lane_begin(int l) const { return lane_begin_[l]; }
   std::uint32_t lane_end(int l) const {
     return l + 1 < lanes_ ? lane_begin_[l + 1] : size_;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -19,6 +18,7 @@ namespace nestpar::simt {
 
 class BlockCtx;
 class LaneCtx;
+class ThreadPool;
 
 /// Per-grid histogram of atomic operations (atomic-segment granularity);
 /// feeds the hotspot serialization term of the timing model. Backed by the
@@ -26,7 +26,7 @@ class LaneCtx;
 /// (per-key sum, global max) are ever taken from it.
 using AtomicHist = FlatHist;
 
-/// Internal: a child launch noted during warp combining, with the issue
+/// Internal: a child launch noted during warp reduction, with the issue
 /// offset in block cycles (converted to a fraction when the block ends).
 /// Records are appended in lane-ascending order within a warp step and in
 /// step order within a block — the order the scheduler's event timeline and
@@ -45,33 +45,25 @@ struct LaunchOutcome {
   SimtError error = SimtError::kOk;
 };
 
-/// Reusable per-block recording storage: the warp's SoA op trace, the bump
-/// arena backing shared-memory arrays, and the block's pending child-launch
-/// records.
+/// Reusable per-block recording storage: a small ring of warp traces (each
+/// with its reduced result), the bump arena backing shared-memory arrays, and
+/// the block's pending child-launch records. Defined in recorder.cpp, its
+/// only user.
 ///
-/// Ownership/lifetime: scratches are owned by a per-host-thread stack indexed
-/// by nesting depth (recorder.cpp); a BlockCtx borrows one for its lifetime
-/// via acquire/release. A nested grid launched mid-phase runs its blocks with
-/// the next-deeper scratch, so the parent's live trace and shared arrays are
-/// never disturbed. Recycling is invisible to the cost model because every
-/// slot the model can see is kModelAlignment-aligned (host_alloc.h).
-struct BlockScratch {
-  WarpTrace trace;
-  Arena shared;
-  std::vector<ChildLaunchRecord> pending_children;
-};
-
-/// Borrow the calling thread's scratch for the current nesting depth
-/// (allocating one the first time that depth is reached). Must be paired
-/// with release_block_scratch in strict LIFO order — BlockCtx's constructor
-/// and destructor are the only callers.
-BlockScratch* acquire_block_scratch();
-void release_block_scratch();
+/// Ownership/lifetime: scratches are owned by a per-host-thread stack and
+/// leased to the engine level by level (recorder.cpp): a grid's blocks
+/// record into the lease of the grid's level, and a nested grid launched
+/// mid-phase leases the next level, so the parent's live traces and shared
+/// arrays are never disturbed. Recycling is invisible to the cost model
+/// because every slot the model can see is kModelAlignment-aligned
+/// (host_alloc.h).
+struct BlockScratch;
+/// One ring slot of a BlockScratch: a warp trace and its reduced result.
+struct WarpSlot;
 
 /// Execution backend a running block records into. The engine (recorder.cpp)
-/// provides one per block task; routing everything through this interface is
-/// what lets blocks of a grid run on different host threads while each
-/// records into private storage, merged deterministically afterwards.
+/// provides one per block; it routes the block's launches, metrics and
+/// atomic histogram to the grid being recorded.
 class BlockEnv {
  public:
   virtual ~BlockEnv() = default;
@@ -91,21 +83,10 @@ class BlockEnv {
   /// Fault-injector configuration (retry/backoff parameters); a default
   /// FaultConfig when no injector is active.
   virtual const FaultConfig& fault_config() const = 0;
-  /// True when this block — and everything launched beneath it — runs with
-  /// no other block executing on a concurrent host thread (serial engine,
-  /// or a single-block grid with no parallel ancestor). Lane RMW ops may
-  /// then use plain memory accesses instead of lock-prefixed atomics; the
-  /// values produced are identical, only the host-side data-race protection
-  /// (unneeded on one thread) is skipped.
-  virtual bool exclusive_mem() const = 0;
+  /// Pool that reduces this block's finished warp traces; nullptr reduces
+  /// each warp inline as it finishes (the serial engine).
+  virtual ThreadPool* pool() const = 0;
 };
-
-/// True when T can be updated through std::atomic_ref without locks — the
-/// engine's requirement for lane ops on memory shared across host threads.
-template <class T>
-inline constexpr bool kLaneAtomicEligible =
-    std::is_arithmetic_v<T> && !std::is_same_v<T, bool> &&
-    sizeof(T) <= sizeof(std::uint64_t) && alignof(T) >= sizeof(T);
 
 }  // namespace detail
 
@@ -137,7 +118,7 @@ class ThreadBodyRef {
 /// Per-lane execution context handed to kernel bodies by the functional pass.
 ///
 /// Every method both *performs* the operation on host memory (so results are
-/// real and testable) and *records* a lane op that the warp combiner reduces
+/// real and testable) and *records* a lane op that the warp reducer folds
 /// into cost and nvprof-like metrics. Addresses are real host addresses;
 /// coalescing is computed from their relative layout, which matches the data
 /// layout a CUDA kernel would see.
@@ -146,12 +127,11 @@ class ThreadBodyRef {
 /// (WarpTrace): lanes of a warp execute sequentially, so each lane's ops are
 /// a contiguous column range delimited by lane offsets — no per-lane
 /// containers, no per-op allocation. The trace is only alive until the warp
-/// is combined; nothing may retain it.
+/// is reduced; nothing may retain it.
 ///
-/// Global-memory accesses go through std::atomic_ref (relaxed) so that the
-/// parallel host engine — which runs blocks of a grid on concurrent host
-/// threads — is free of data races: CUDA-racy kernels become host-benign
-/// instead of undefined behavior, and genuinely atomic ops really are atomic.
+/// Lane code runs on the recording thread under both engines, one lane after
+/// another, so every memory access below is a plain load or store and the
+/// winner of a contended atomic is a function of (block, lane) order alone.
 class LaneCtx {
  public:
   int thread_idx() const { return thread_idx_; }
@@ -174,13 +154,7 @@ class LaneCtx {
   T ld(const T* p) {
     trace_->push_mem(OpKind::kGlobalLoad, sizeof(T),
                      reinterpret_cast<std::uint64_t>(p));
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      // atomic_ref has no const overload; the load itself never writes.
-      return std::atomic_ref<T>(*const_cast<T*>(p))
-          .load(std::memory_order_relaxed);
-    } else {
-      return *p;
-    }
+    return *p;
   }
   template <class T>
     requires(!std::is_pointer_v<T>)
@@ -193,11 +167,7 @@ class LaneCtx {
   void st(T* p, T v) {
     trace_->push_mem(OpKind::kGlobalStore, sizeof(T),
                      reinterpret_cast<std::uint64_t>(p));
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      std::atomic_ref<T>(*p).store(v, std::memory_order_relaxed);
-    } else {
-      *p = v;
-    }
+    *p = v;
   }
 
   /// Raw charge of a global load/store covering `bytes` at `p`, without
@@ -213,8 +183,6 @@ class LaneCtx {
   }
 
   /// Shared-memory load (use with spans from BlockCtx::shared_array).
-  /// Shared memory is block-local, so plain accesses are race-free even
-  /// under the parallel engine.
   template <class T>
   T sh_ld(const T* p) {
     trace_->push_addr(OpKind::kSharedLoad,
@@ -230,30 +198,9 @@ class LaneCtx {
 
   /// Atomic read-modify-writes on global memory. Return the old value, as in
   /// CUDA. Lanes executing atomics to the same address serialize in the model.
-  ///
-  /// When the engine guarantees single-threaded execution
-  /// (BlockEnv::exclusive_mem), each falls through to the plain
-  /// read-modify-write below its atomic form: lock-prefixed RMWs cost ~20
-  /// cycles each even uncontended, and graph workloads issue one per edge.
-  /// The plain path computes the identical value — only the (unneeded)
-  /// host-side race protection is skipped.
   template <class T>
   T atomic_add(T* p, T v) {
     record_atomic(p);
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      if (!exclusive_mem_) {
-        std::atomic_ref<T> a(*p);
-        if constexpr (std::is_integral_v<T>) {
-          return a.fetch_add(v, std::memory_order_relaxed);
-        } else {
-          T old = a.load(std::memory_order_relaxed);
-          while (!a.compare_exchange_weak(old, static_cast<T>(old + v),
-                                          std::memory_order_relaxed)) {
-          }
-          return old;
-        }
-      }
-    }
     T old = *p;
     *p = static_cast<T>(old + v);
     return old;
@@ -261,16 +208,6 @@ class LaneCtx {
   template <class T>
   T atomic_min(T* p, T v) {
     record_atomic(p);
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      if (!exclusive_mem_) {
-        std::atomic_ref<T> a(*p);
-        T old = a.load(std::memory_order_relaxed);
-        while (v < old &&
-               !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-        }
-        return old;
-      }
-    }
     T old = *p;
     if (v < old) *p = v;
     return old;
@@ -278,16 +215,6 @@ class LaneCtx {
   template <class T>
   T atomic_max(T* p, T v) {
     record_atomic(p);
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      if (!exclusive_mem_) {
-        std::atomic_ref<T> a(*p);
-        T old = a.load(std::memory_order_relaxed);
-        while (old < v &&
-               !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-        }
-        return old;
-      }
-    }
     T old = *p;
     if (old < v) *p = v;
     return old;
@@ -295,11 +222,6 @@ class LaneCtx {
   template <class T>
   T atomic_exch(T* p, T v) {
     record_atomic(p);
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      if (!exclusive_mem_) {
-        return std::atomic_ref<T>(*p).exchange(v, std::memory_order_relaxed);
-      }
-    }
     T old = *p;
     *p = v;
     return old;
@@ -307,21 +229,12 @@ class LaneCtx {
   template <class T>
   T atomic_cas(T* p, T expected, T val) {
     record_atomic(p);
-    if constexpr (detail::kLaneAtomicEligible<T>) {
-      if (!exclusive_mem_) {
-        T old = expected;
-        std::atomic_ref<T>(*p).compare_exchange_strong(
-            old, val, std::memory_order_relaxed);
-        return old;
-      }
-    }
     T old = *p;
     if (old == expected) *p = val;
     return old;
   }
 
   /// Shared-memory atomic (cheap; does not hit the global atomic units).
-  /// Block-local, so a plain read-modify-write suffices.
   template <class T>
   T sh_atomic_add(T* p, T v) {
     trace_->push_addr(OpKind::kSharedStore,
@@ -409,8 +322,6 @@ class LaneCtx {
   int block_idx_;
   int block_dim_;
   int grid_dim_;
-  /// Cached BlockEnv::exclusive_mem() (via BlockCtx): plain RMWs allowed.
-  bool exclusive_mem_;
 };
 
 /// Per-block execution context. A kernel body structures its work as one or
@@ -419,15 +330,21 @@ class LaneCtx {
 /// expressed here (the functional pass runs lanes sequentially, so a phase
 /// boundary is the only correct way to order cross-thread communication).
 ///
-/// Recording storage (the warp trace, the shared-memory arena, pending child
-/// records) is borrowed from a per-thread, per-nesting-depth BlockScratch
-/// for the duration of the block and recycled afterwards; see
-/// detail::BlockScratch for the lifetime rules.
+/// Recording storage (the warp traces, the shared-memory arena, pending child
+/// records) is a BlockScratch the engine lends the block for its lifetime
+/// and recycles afterwards; see detail::BlockScratch for the lifetime rules.
+///
+/// Each finished warp trace is reduced into a cost and metrics that share
+/// nothing with other warps — inline, or on the engine's ThreadPool while
+/// the next warp records — and folded into the block in warp order, so the
+/// block's cost is the same double sequence under every engine.
 class BlockCtx {
  public:
   /// Internal: constructed by the execution engine with the backend this
-  /// block records into. Kernel bodies only ever receive a reference.
-  BlockCtx(detail::BlockEnv* env, int block_idx, int block_dim, int grid_dim);
+  /// block records into and the scratch it records with, which must outlive
+  /// the block. Kernel bodies only ever receive a reference.
+  BlockCtx(detail::BlockEnv* env, detail::BlockScratch* scratch, int block_idx,
+           int block_dim, int grid_dim);
   ~BlockCtx();
 
   int block_idx() const { return block_idx_; }
@@ -463,17 +380,24 @@ class BlockCtx {
   friend class LaneCtx;
 
   void* shared_alloc(std::size_t bytes, std::size_t align);
-  /// Combine and flush the per-lane traces of the warp just recorded.
-  void flush_warp(int first_thread, int lanes);
+  /// Hand the warp just recorded to the reducer (inline without a pool) and
+  /// move recording to the next ring slot.
+  void flush_warp(int lanes);
+  /// Wait for the oldest in-flight warp and fold its result into the block.
+  void fold_oldest();
+  /// Fold one reduced warp into the block: its barrier cycles, its children
+  /// at offsets rebased on the block's cost so far, its cost, metrics,
+  /// atomic-histogram bumps and fault-cycle increments.
+  void fold(detail::WarpSlot& s);
 
   detail::BlockEnv* env_;
-  detail::BlockScratch* scratch_;  ///< Borrowed; released in the destructor.
+  detail::BlockScratch* scratch_;  ///< Borrowed from the engine.
+  ThreadPool* pool_;               ///< BlockEnv::pool(), fetched once.
   int block_idx_;
   int block_dim_;
   int grid_dim_;
-  /// BlockEnv::exclusive_mem(), fetched once per block so each LaneCtx
-  /// copies a bool instead of making a virtual call.
-  bool exclusive_mem_;
+  int ring_head_ = 0;  ///< Ring slot the current warp records into.
+  int in_flight_ = 0;  ///< Submitted warps not yet folded, oldest first.
   int phase_ = 0;
   std::size_t shared_used_ = 0;
   // Accumulated block cost; reduced into a BlockCost when the block ends.

@@ -102,10 +102,11 @@ struct RunReport {
 ///
 /// Host execution engine: an ExecPolicy (constructor argument, per-session
 /// override, or `NESTPAR_EXEC`/`NESTPAR_THREADS` environment) selects
-/// between the serial engine and the thread-pool engine that spreads the
-/// blocks of each top-level grid over host threads. Both produce identical
-/// functional results and identical reports; parallel only changes how long
-/// the simulation itself takes on the host.
+/// between the serial engine and the one that reduces finished warp traces
+/// on a host thread pool. Kernel code runs on the launching thread under
+/// both, so both produce identical functional results and bit-identical
+/// reports; parallel only changes how long the simulation itself takes on
+/// the host.
 class Device {
  public:
   explicit Device(DeviceSpec spec = DeviceSpec::k20(),

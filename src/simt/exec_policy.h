@@ -4,16 +4,20 @@
 
 namespace nestpar::simt {
 
-/// How the functional pass executes the blocks of a grid on the host.
+/// How the functional pass uses host threads. Lane code always runs on the
+/// launching thread, blocks and lanes in order; the modes differ only in
+/// where finished warp traces are reduced into costs.
 enum class ExecMode {
-  kSerial,    ///< One host thread, blocks in order (the classic engine).
-  kParallel,  ///< Blocks of top-level grids spread over a host thread pool.
+  kSerial,    ///< Each warp is reduced inline as it finishes.
+  kParallel,  ///< Long warp traces are reduced on a host thread pool while
+              ///< the next warp records; results are folded in warp order.
 };
 
-/// Host execution policy for a Device (or a single Session). The parallel
-/// engine is bit-identical to the serial one — same functional results, same
-/// `RunReport` — it only changes wall-clock time, so switching modes is
-/// always safe for the workloads shipped in this repo.
+/// Host execution policy for a Device (or a single Session). Both modes
+/// produce the same functional results and a bit-identical `RunReport` by
+/// construction — lane atomics resolve in (block, lane) order, and every
+/// floating-point sum is folded in the serial order — so the mode only
+/// changes the simulator's wall-clock time.
 struct ExecPolicy {
   ExecMode mode = ExecMode::kSerial;
   /// Host threads for kParallel; 0 = auto (NESTPAR_THREADS env if set,

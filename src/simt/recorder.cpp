@@ -1,9 +1,11 @@
 #include "src/simt/recorder.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -22,14 +24,14 @@ Kernel as_kernel(ThreadKernel body) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-block recording (the engine's unit of parallelism)
+// Per-block recording
 // ---------------------------------------------------------------------------
 
 namespace detail {
 
-/// One device-side grid recorded while a block task ran, in creation (DFS)
-/// order. Ids are local to the owning BlockRecord; the merge step remaps
-/// them to global node ids.
+/// One device-side grid recorded while a block ran, in creation (DFS) order.
+/// Ids are local to the owning BlockRecord; the merge step remaps them to
+/// global node ids.
 struct ArenaNode {
   LaunchConfig cfg;
   Kernel kernel;                   ///< Retained only for deferred launches.
@@ -45,29 +47,119 @@ struct ArenaNode {
 
 constexpr std::uint64_t kUnlimitedBudget = ~std::uint64_t{0};
 
-/// Launch-resource budget of one block task. The grid's pool and heap
-/// capacity is partitioned evenly across its blocks up front, so exhaustion
-/// depends only on the (deterministic) order of launch attempts within the
-/// task — never on cross-block timing. Nested sync grids executed inside the
-/// task draw from the same budget, modeling the shared device-runtime pool.
+/// Launch-resource budget of one block of a host-recorded grid. The grid's
+/// pool and heap capacity is partitioned evenly across its blocks up front,
+/// so exhaustion depends only on the order of launch attempts within the
+/// block. Nested sync grids executed inside the block draw from the same
+/// budget, modeling the shared device-runtime pool.
 struct LaunchBudget {
   std::uint64_t grid_key = 0;  ///< Stable (grid node id, block) hash.
-  std::uint64_t seq = 0;       ///< Launch attempts made by this task so far.
+  std::uint64_t seq = 0;       ///< Launch attempts made by this block so far.
   std::uint64_t pool_used = 0;
   std::uint64_t pool_quota = kUnlimitedBudget;
   std::uint64_t heap_used = 0;
   std::uint64_t heap_quota = kUnlimitedBudget;
 };
 
-/// Everything one block of a top-level grid records: its cost and metrics
-/// contributions, its share of the grid's atomic histogram, and every grid
-/// its lanes launched (synchronous ones executed inline on the same thread).
+/// Everything one block of a host-recorded grid records: its cost and
+/// metrics contributions and every grid its lanes launched (synchronous ones
+/// executed inline). Recycled for every block, so steady-state grids reuse
+/// its node storage.
 struct BlockRecord {
   BlockCost cost;
   Metrics metrics;
-  AtomicHist hist;
   std::vector<ArenaNode> nodes;
   LaunchBudget budget;
+};
+
+/// One warp's reduced trace, computed from a zero issue base and sharing
+/// nothing with other warps, so any thread may compute it. BlockCtx::fold
+/// applies it to the block in warp order.
+struct WarpResult {
+  double cost = 0.0;
+  // Integer metric sums (the Metrics fields of the same names).
+  std::uint64_t warp_steps = 0, active_lane_ops = 0, compute_ops = 0,
+                shared_ops = 0, atomic_ops = 0, device_launches = 0,
+                gld_requested_bytes = 0, gld_transferred_bytes = 0,
+                gst_requested_bytes = 0, gst_transferred_bytes = 0;
+  std::uint64_t active_lane_hist[33] = {};
+  /// Child launches, offsets relative to the warp's start.
+  std::vector<ChildLaunchRecord> children;
+  /// Atomic-segment key of every atomic op: the grid histogram's bumps,
+  /// logged when the warp was reduced off the recording thread.
+  std::vector<std::uint64_t> atomic_keys;
+  /// Metrics::fault_cycles increments, in the order the reduction made them:
+  /// a double summed step by step is replayed, not pre-summed.
+  std::vector<double> fault_log;
+};
+
+/// `hist` non-null: bump it directly instead of logging atomic keys (only
+/// the recording thread may, since the histogram is the grid's).
+void reduce_warp(const DeviceSpec& spec, const WarpTrace& trace,
+                 int active_lanes, AtomicHist* hist, WarpResult& r);
+
+struct WarpSlot final : ThreadPool::Task {
+  WarpTrace trace;
+  const DeviceSpec* spec = nullptr;
+  int lanes = 0;
+  /// Barrier cycles the block is charged just before this warp (the
+  /// implicit __syncthreads() ahead of a phase's first warp), else 0.
+  double sync_before = 0.0;
+  WarpResult result;
+
+  void run() override { reduce_warp(*spec, trace, lanes, nullptr, result); }
+};
+
+/// Warps a block may have in flight on the pool. Bounds the traces a
+/// (thread, level) keeps alive; 16 lets the recording thread run ahead of a
+/// worker held up by one long warp (8 measurably stalled it on sim-skewed).
+constexpr int kWarpRing = 16;
+
+/// Traces shorter than this many ops are reduced on the recording thread.
+constexpr std::uint32_t kPoolMinOps = 512;
+
+struct BlockScratch {
+  std::array<WarpSlot, kWarpRing> ring;
+  Arena shared;
+  std::vector<ChildLaunchRecord> pending_children;
+};
+
+namespace {
+
+/// Per-host-thread stack of BlockScratch: every live lease holds one level,
+/// and a nested grid launched mid-phase leases the next, so the parent's
+/// live traces and shared arrays stay untouched. Scratches are allocated
+/// once per (thread, level) and recycled for every later block — steady-
+/// state recording performs no heap allocation at all.
+struct ScratchStack {
+  std::vector<std::unique_ptr<BlockScratch>> levels;
+  std::size_t depth = 0;
+};
+
+thread_local ScratchStack g_scratch_stack;
+
+}  // namespace
+
+/// Lease of the calling thread's next scratch level (allocated the first
+/// time that level is reached). Leases nest strictly LIFO, which scoped
+/// objects guarantee.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    ScratchStack& st = g_scratch_stack;
+    if (st.depth == st.levels.size()) {
+      st.levels.push_back(std::make_unique<BlockScratch>());
+    }
+    scratch_ = st.levels[st.depth++].get();
+  }
+  ~ScratchLease() { --g_scratch_stack.depth; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  BlockScratch* get() const { return scratch_; }
+
+ private:
+  BlockScratch* scratch_;
 };
 
 }  // namespace detail
@@ -89,7 +181,7 @@ void validate_config(const DeviceSpec& spec, const LaunchConfig& cfg) {
 }
 
 /// BlockEnv backing one running block. `node_local` selects the grid the
-/// block belongs to within the task's recording: -1 for the top-level grid
+/// block belongs to within the block record: -1 for the host-recorded grid
 /// (whose sinks live on the BlockRecord itself), otherwise an ArenaNode
 /// index. Arena entries are re-resolved on every access because launches
 /// performed by the kernel body grow the node vector.
@@ -97,8 +189,7 @@ class EngineEnv final : public detail::BlockEnv {
  public:
   EngineEnv(detail::BlockRecord* rec, const DeviceSpec* spec, int max_depth,
             std::int64_t node_local, std::uint32_t nest_depth,
-            AtomicHist* hist, const FaultInjector* injector,
-            bool exclusive_mem)
+            AtomicHist* hist, const FaultInjector* injector, ThreadPool* pool)
       : rec_(rec),
         spec_(spec),
         max_depth_(max_depth),
@@ -106,11 +197,11 @@ class EngineEnv final : public detail::BlockEnv {
         nest_depth_(nest_depth),
         hist_(hist),
         injector_(injector),
-        exclusive_mem_(exclusive_mem) {}
+        pool_(pool) {}
 
   const DeviceSpec& spec() const override { return *spec_; }
   AtomicHist& hist() override { return *hist_; }
-  bool exclusive_mem() const override { return exclusive_mem_; }
+  ThreadPool* pool() const override { return pool_; }
   Metrics& metrics() override {
     return node_local_ < 0
                ? rec_->metrics
@@ -128,8 +219,8 @@ class EngineEnv final : public detail::BlockEnv {
     detail::LaunchBudget& budget = rec_->budget;
     RobustnessCounters& rb = metrics().robustness;
     ++rb.launches_attempted;
-    // Stable per-attempt key: the task's (grid, block) hash mixed with the
-    // attempt ordinal — identical across host engines by construction.
+    // Stable per-attempt key: the block's (grid, block) hash mixed with the
+    // attempt ordinal.
     const std::uint64_t attempt_key = fault_mix(budget.grid_key ^ budget.seq++);
     const ResourceLimits& lim = spec_->limits;
     const std::uint32_t child_depth = nest_depth_ + 1;
@@ -172,22 +263,20 @@ class EngineEnv final : public detail::BlockEnv {
 
  private:
   /// Run a synchronously launched nested grid to completion, blocks in
-  /// order, on the current thread. Nested grids stay within their parent
-  /// block's task; only the timing model makes them look concurrent.
+  /// order, on the current thread; only the timing model makes it look
+  /// concurrent.
   void run_nested_grid(std::size_t local, const Kernel& k) {
     const int nblocks = rec_->nodes[local].cfg.grid_blocks;
     const int nthreads = rec_->nodes[local].cfg.block_threads;
     const std::uint32_t depth = rec_->nodes[local].nest_depth;
     AtomicHist grid_hist;
     std::vector<BlockCost> costs(static_cast<std::size_t>(nblocks));
+    const detail::ScratchLease scratch;
     for (int b = 0; b < nblocks; ++b) {
-      // Nested grids run inline on the parent block's thread, so they
-      // inherit the parent's exclusivity: concurrent sibling blocks of the
-      // enclosing host grid may still be touching the same global memory.
       EngineEnv env(rec_, spec_, max_depth_,
                     static_cast<std::int64_t>(local), depth, &grid_hist,
-                    injector_, exclusive_mem_);
-      BlockCtx blk(&env, b, nthreads, nblocks);
+                    injector_, pool_);
+      BlockCtx blk(&env, scratch.get(), b, nthreads, nblocks);
       k(blk);
       costs[static_cast<std::size_t>(b)] = blk.finish();
     }
@@ -205,7 +294,7 @@ class EngineEnv final : public detail::BlockEnv {
   std::uint32_t nest_depth_;
   AtomicHist* hist_;
   const FaultInjector* injector_;
-  bool exclusive_mem_;
+  ThreadPool* pool_;
 };
 
 }  // namespace
@@ -220,8 +309,7 @@ LaneCtx::LaneCtx(BlockCtx* blk, WarpTrace* trace, int thread_idx)
       thread_idx_(thread_idx),
       block_idx_(blk->block_idx_),
       block_dim_(blk->block_dim_),
-      grid_dim_(blk->grid_dim_),
-      exclusive_mem_(blk->exclusive_mem_) {}
+      grid_dim_(blk->grid_dim_) {}
 
 namespace {
 
@@ -331,49 +419,30 @@ void LaneCtx::launch_threads_async(const LaunchConfig& cfg, ThreadKernel k,
 // BlockCtx
 // ---------------------------------------------------------------------------
 
-namespace detail {
-
-namespace {
-
-/// Per-host-thread stack of BlockScratch, indexed by live BlockCtx nesting
-/// depth: a nested grid launched mid-phase runs its blocks one level deeper,
-/// so the parent's live trace and shared arrays stay untouched. Scratches
-/// are allocated once per (thread, depth) and recycled for every subsequent
-/// block — steady-state recording performs no heap allocation at all.
-struct ScratchStack {
-  std::vector<std::unique_ptr<BlockScratch>> levels;
-  std::size_t depth = 0;
-};
-
-thread_local ScratchStack g_scratch_stack;
-
-}  // namespace
-
-BlockScratch* acquire_block_scratch() {
-  ScratchStack& st = g_scratch_stack;
-  if (st.depth == st.levels.size()) {
-    st.levels.push_back(std::make_unique<BlockScratch>());
-  }
-  BlockScratch* s = st.levels[st.depth++].get();
-  s->pending_children.clear();
-  s->shared.reset();
-  return s;
-}
-
-void release_block_scratch() { --g_scratch_stack.depth; }
-
-}  // namespace detail
-
-BlockCtx::BlockCtx(detail::BlockEnv* env, int block_idx, int block_dim,
-                   int grid_dim)
+BlockCtx::BlockCtx(detail::BlockEnv* env, detail::BlockScratch* scratch,
+                   int block_idx, int block_dim, int grid_dim)
     : env_(env),
-      scratch_(detail::acquire_block_scratch()),
+      scratch_(scratch),
+      pool_(env->pool()),
       block_idx_(block_idx),
       block_dim_(block_dim),
-      grid_dim_(grid_dim),
-      exclusive_mem_(env->exclusive_mem()) {}
+      grid_dim_(grid_dim) {
+  scratch_->pending_children.clear();
+  scratch_->shared.reset();
+}
 
-BlockCtx::~BlockCtx() { detail::release_block_scratch(); }
+BlockCtx::~BlockCtx() {
+  // A kernel that threw leaves warps in flight, reading traces in the
+  // scratch the next block reuses. Fold them as finish() would have; an
+  // error in that (only allocation can fail) is dropped, since the kernel's
+  // own exception is already propagating.
+  while (in_flight_ > 0) {
+    try {
+      fold_oldest();
+    } catch (...) {
+    }
+  }
+}
 
 const DeviceSpec& BlockCtx::spec() const { return env_->spec(); }
 
@@ -386,21 +455,21 @@ void* BlockCtx::shared_alloc(std::size_t bytes, std::size_t align) {
   // Shared arrays start on a full bank cycle (32 banks x 4 bytes), like the
   // statically laid out shared memory of a real SM. This also keeps the
   // bank-conflict model independent of where the host heap placed the
-  // arena's chunk, so every block — on any engine thread — charges identical
-  // costs. (Arena::alloc raises the alignment to 128 itself; passing the
-  // natural alignment through keeps over-aligned element types honest.)
+  // arena's chunk. (Arena::alloc raises the alignment to 128 itself; passing
+  // the natural alignment through keeps over-aligned element types honest.)
   return scratch_->shared.alloc(bytes, align);
 }
 
 void BlockCtx::each_thread(ThreadBodyRef fn) {
   const int warps = (block_dim_ + 31) / 32;
   if (phase_ > 0) {
-    // Implicit __syncthreads() between phases.
-    issue_cycles_ += env_->spec().sync_cycles * warps;
+    // Implicit __syncthreads() between phases, charged when the phase's
+    // first warp is folded.
+    scratch_->ring[ring_head_].sync_before = env_->spec().sync_cycles * warps;
   }
   ++phase_;
-  WarpTrace& tr = scratch_->trace;
   for (int first = 0; first < block_dim_; first += 32) {
+    WarpTrace& tr = scratch_->ring[ring_head_].trace;
     const int lanes = std::min(32, block_dim_ - first);
     tr.begin_warp();
     for (int l = 0; l < lanes; ++l) {
@@ -408,17 +477,67 @@ void BlockCtx::each_thread(ThreadBodyRef fn) {
       LaneCtx lc(this, &tr, first + l);
       fn(lc);
     }
-    flush_warp(first, lanes);
+    flush_warp(lanes);
   }
 }
 
-void BlockCtx::flush_warp(int /*first_thread*/, int lanes) {
-  issue_cycles_ += detail::combine_warp(
-      env_->spec(), env_->metrics(), scratch_->trace, lanes, issue_cycles_,
-      scratch_->pending_children, env_->hist());
+void BlockCtx::flush_warp(int lanes) {
+  detail::WarpSlot& s = scratch_->ring[ring_head_];
+  s.spec = &env_->spec();
+  s.lanes = lanes;
+  // A short trace reduces faster than a hand-off to another thread costs;
+  // it still waits its turn in the ring if earlier warps are in flight.
+  if (pool_ == nullptr || s.trace.size() < detail::kPoolMinOps) {
+    detail::reduce_warp(*s.spec, s.trace, lanes, &env_->hist(), s.result);
+    if (in_flight_ == 0) {
+      fold(s);
+      return;
+    }
+  } else {
+    pool_->submit(s);
+  }
+  ++in_flight_;
+  ring_head_ = (ring_head_ + 1) % detail::kWarpRing;
+  if (in_flight_ == detail::kWarpRing) fold_oldest();
+}
+
+void BlockCtx::fold_oldest() {
+  detail::WarpSlot& s =
+      scratch_->ring[(ring_head_ + detail::kWarpRing - in_flight_) %
+                     detail::kWarpRing];
+  --in_flight_;
+  pool_->wait(s);
+  fold(s);
+}
+
+void BlockCtx::fold(detail::WarpSlot& s) {
+  const detail::WarpResult& r = s.result;
+  issue_cycles_ += s.sync_before;
+  s.sync_before = 0.0;
+  for (const ChildLaunchRecord& c : r.children) {
+    scratch_->pending_children.push_back(
+        ChildLaunchRecord{c.child_kernel, issue_cycles_ + c.offset_cycles});
+  }
+  issue_cycles_ += r.cost;
+  Metrics& m = env_->metrics();
+  m.warp_steps += r.warp_steps;
+  m.active_lane_ops += r.active_lane_ops;
+  m.compute_ops += r.compute_ops;
+  m.shared_ops += r.shared_ops;
+  m.atomic_ops += r.atomic_ops;
+  m.device_launches += r.device_launches;
+  m.gld_requested_bytes += r.gld_requested_bytes;
+  m.gld_transferred_bytes += r.gld_transferred_bytes;
+  m.gst_requested_bytes += r.gst_requested_bytes;
+  m.gst_transferred_bytes += r.gst_transferred_bytes;
+  for (int i = 1; i <= 32; ++i) m.active_lane_hist[i] += r.active_lane_hist[i];
+  for (const double f : r.fault_log) m.fault_cycles += f;
+  AtomicHist& hist = env_->hist();
+  for (const std::uint64_t key : r.atomic_keys) hist.bump(key);
 }
 
 BlockCost BlockCtx::finish() {
+  while (in_flight_ > 0) fold_oldest();
   BlockCost bc;
   bc.issue_cycles = issue_cycles_;
   bc.warps = static_cast<std::uint32_t>((block_dim_ + 31) / 32);
@@ -589,61 +708,63 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
         static_cast<std::uint64_t>(nblocks);
   }
 
-  // Exclusive when this grid's blocks run back-to-back on one thread
-  // (serial engine, or a single-block grid — host grids never overlap each
-  // other, so no other thread can be touching global memory). Such blocks
-  // share one record, merged as soon as each block finishes, and bump the
-  // grid-level histogram directly. Concurrent blocks record privately and
-  // are merged afterwards; merging in block order either way reproduces
-  // the same global state.
-  const bool exclusive = !(pool_ != nullptr && nblocks > 1);
-  const std::size_t nrecords =
-      exclusive ? 1 : static_cast<std::size_t>(nblocks);
-  if (records_.size() < nrecords) records_.resize(nrecords);
-  // Cleared here rather than after the merge, so a kernel that threw out of
+  if (!records_) records_ = std::make_unique<detail::BlockRecord[]>(2);
+  // Cleared here rather than after the grid, so a kernel that threw out of
   // an earlier grid cannot leak its counts into this one.
   grid_hist_.clear();
   graph_.nodes[node_id].blocks.resize(static_cast<std::size_t>(nblocks));
-  const auto run_block = [&](std::int64_t b, detail::BlockRecord& r) {
-    // Recycled from an earlier block: drop its contents, keep its storage.
-    r.metrics = Metrics{};
-    r.hist.clear();
-    r.nodes.clear();
-    r.budget = budget0;
-    // node_id is final before any block runs (host nodes are created up
-    // front, device nodes during the previous merge), so this key is
-    // identical under both engines.
-    r.budget.grid_key = fault_mix(
-        (static_cast<std::uint64_t>(node_id) << 24) ^
-        static_cast<std::uint64_t>(b));
-    EngineEnv env(&r, &spec_, max_depth_, /*node_local=*/-1, depth,
-                  exclusive ? &grid_hist_ : &r.hist, &injector_, exclusive);
-    BlockCtx blk(&env, static_cast<int>(b), nthreads, nblocks);
-    k(blk);
-    r.cost = blk.finish();
+
+  // Two blocks in the air: block b records while the pool is still reducing
+  // block b-1's last warps, and b-1 is finished and merged once b's kernel
+  // body has returned. Merges stay in block order, so ids, sums and costs
+  // are those of recording one block at a time.
+  const detail::ScratchLease scratch[2];
+  std::optional<EngineEnv> env[2];
+  std::optional<BlockCtx> blk[2];
+  int pending = -1;  // Recorded, not yet merged.
+  const auto merge_pending = [&] {
+    const int b = std::exchange(pending, -1);
+    detail::BlockRecord& r = records_[b & 1];
+    r.cost = blk[b & 1]->finish();
+    blk[b & 1].reset();
+    env[b & 1].reset();
+    merge_block(node_id, static_cast<std::size_t>(b), r);
   };
-  if (exclusive) {
-    for (std::int64_t b = 0; b < nblocks; ++b) {
-      run_block(b, records_[0]);
-      merge_block(node_id, static_cast<std::size_t>(b), records_[0]);
+  try {
+    for (int b = 0; b < nblocks; ++b) {
+      // Recycled from an earlier block: drop its contents, keep its storage.
+      detail::BlockRecord& r = records_[b & 1];
+      r.metrics = Metrics{};
+      r.nodes.clear();
+      r.budget = budget0;
+      // node_id is final before any block runs (host nodes are created up
+      // front, device nodes during the parent grid's merge).
+      r.budget.grid_key =
+          fault_mix((static_cast<std::uint64_t>(node_id) << 24) ^
+                    static_cast<std::uint64_t>(b));
+      env[b & 1].emplace(&r, &spec_, max_depth_, /*node_local=*/-1, depth,
+                         &grid_hist_, &injector_, pool_);
+      blk[b & 1].emplace(&*env[b & 1], scratch[b & 1].get(), b, nthreads,
+                         nblocks);
+      k(*blk[b & 1]);
+      if (pending >= 0) merge_pending();
+      pending = b;
     }
-  } else {
-    pool_->parallel_for(nblocks, [&](std::int64_t b) {
-      run_block(b, records_[static_cast<std::size_t>(b)]);
-    });
-    for (std::size_t b = 0; b < nrecords; ++b) {
-      merge_block(node_id, b, records_[b]);
-    }
+    merge_pending();
+  } catch (...) {
+    // The block after `pending` threw: merge `pending` as block-at-a-time
+    // recording would have, and drop the one that threw.
+    if (pending >= 0) merge_pending();
+    throw;
   }
   graph_.nodes[node_id].hottest_atomic_ops = grid_hist_.max_count();
 }
 
 void Recorder::merge_block(std::uint32_t node_id, std::size_t b,
                            detail::BlockRecord& r) {
-  // Called in block order, this reproduces the serial engine's global state
-  // exactly: node ids and launch seq numbers follow DFS creation order
-  // within a block, block-major across blocks. Stream interning happens
-  // here too, so dense stream ids come out identical.
+  // Called in block order: node ids and launch seq numbers follow DFS
+  // creation order within a block, block-major across blocks. Stream
+  // interning happens here too, so dense stream ids follow the same order.
   const std::uint32_t base = static_cast<std::uint32_t>(graph_.nodes.size());
   // At most one reallocation per merge, and geometric growth: an exact
   // reserve would move every earlier node on each merge that adds a device
@@ -660,10 +781,6 @@ void Recorder::merge_block(std::uint32_t node_id, std::size_t b,
     root.blocks[b] = std::move(r.cost);
     root.metrics += r.metrics;
   }
-  // Empty when the grid's blocks shared grid_hist_ (see run_grid).
-  r.hist.for_each([this](std::uint64_t addr, std::uint64_t count) {
-    grid_hist_.add(addr, count);
-  });
   for (std::size_t j = 0; j < r.nodes.size(); ++j) {
     detail::ArenaNode& ln = r.nodes[j];
     // Built in place: KernelNode is four vectors, a string and a Metrics,
@@ -815,16 +932,24 @@ struct UniqTracker {
   }
 };
 
-/// The combine_warp loop, specialized on whether the segment sizes are
+/// The reduce_warp loop, specialized on whether the segment sizes are
 /// powers of two (they are for every shipped DeviceSpec) so the per-access
 /// address->segment mapping is a shift instead of a 64-bit division — the
 /// single hottest arithmetic op of the functional pass.
 template <bool kPow2>
-double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
-                         const WarpTrace& trace, int active_lanes,
-                         double issue_base,
-                         std::vector<ChildLaunchRecord>& children,
-                         AtomicHist& hist, int seg_shift, int aseg_shift) {
+void reduce_warp_impl(const DeviceSpec& spec, const WarpTrace& trace,
+                      int active_lanes, AtomicHist* hist,
+                      detail::WarpResult& r, int seg_shift, int aseg_shift) {
+  r.cost = 0.0;
+  r.warp_steps = r.active_lane_ops = r.compute_ops = r.shared_ops =
+      r.atomic_ops = r.device_launches = r.gld_requested_bytes =
+          r.gld_transferred_bytes = r.gst_requested_bytes =
+              r.gst_transferred_bytes = 0;
+  std::uint64_t* const lh = r.active_lane_hist;
+  std::fill(lh, lh + 33, std::uint64_t{0});
+  r.children.clear();
+  r.atomic_keys.clear();
+  r.fault_log.clear();
   // Live-lane cursors into the SoA columns, in ascending lane order. A lane
   // whose trace is exhausted is compacted out, so divergent tails cost
   // nothing per step; compaction preserves the ascending order the
@@ -840,7 +965,7 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
       ++alive;
     }
   }
-  if (alive == 0) return 0.0;
+  if (alive == 0) return;
 
   const std::uint8_t* kinds = trace.kinds();
   const std::uint32_t* counts = trace.counts();
@@ -862,7 +987,7 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
 
   // Per-op cycle costs, hoisted so the loop reads registers instead of
   // re-loading through the spec reference (the compiler cannot prove the
-  // children.push_back call leaves them unchanged). All are double, so the
+  // vector push_back calls leave them unchanged). All are double, so the
   // arithmetic below is bit-identical to reading the fields directly.
   const double compute_cyc = spec.compute_op_cycles;
   const double shared_cyc = spec.shared_op_cycles;
@@ -877,14 +1002,12 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
 
   // Integer metrics accumulate in locals and flush once at the end —
   // u64 addition is associative, so batching is exact; it keeps ~10 memory
-  // read-modify-writes per step out of the loop. The double-valued fields
-  // (cost, m.fault_cycles) keep their per-step accumulation order: float
-  // addition is not associative and the bit patterns feed the baselines.
+  // read-modify-writes per step out of the loop. The double-valued ones
+  // (cost, the fault-cycle log) keep their per-step order: float addition is
+  // not associative and the bit patterns feed the baselines.
   std::uint64_t ws = 0, alo = 0, comp_ops = 0, sh_ops = 0, at_ops = 0,
                 dev_launches = 0;
   std::uint64_t gld_req_b = 0, gld_xfer_b = 0, gst_req_b = 0, gst_xfer_b = 0;
-  // Local active-lane histogram (u64 counts, associative) flushed once.
-  std::uint64_t lh[33] = {};
 
   while (alive > 0) {
     if (alive == 1) {
@@ -943,7 +1066,11 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
             lh[1] += 1;
             break;
           case OpKind::kAtomic:
-            hist.bump(aseg_of(addrs[idx]));
+            if (hist != nullptr) {
+              hist->bump(aseg_of(addrs[idx]));
+            } else {
+              r.atomic_keys.push_back(aseg_of(addrs[idx]));
+            }
             // One lane: ways == 1, one distinct segment.
             cost += atomic_cyc + mem_tx_cyc;
             ws += 1;
@@ -953,9 +1080,8 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
             break;
           case OpKind::kLaunch:
             cost += launch_cyc;
-            children.push_back(
-                ChildLaunchRecord{static_cast<std::uint32_t>(addrs[idx]),
-                                  issue_base + cost});
+            r.children.push_back(ChildLaunchRecord{
+                static_cast<std::uint32_t>(addrs[idx]), cost});
             ws += 1;
             alo += 1;
             dev_launches += 1;
@@ -963,14 +1089,14 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
             break;
           case OpKind::kLaunchFail:
             cost += launch_cyc;
-            m.fault_cycles += launch_cyc;
+            r.fault_log.push_back(launch_cyc);
             ws += 1;
             alo += 1;
             lh[1] += 1;
             break;
           case OpKind::kStall:
             cost += static_cast<double>(counts[idx]);
-            m.fault_cycles += static_cast<double>(counts[idx]);
+            r.fault_log.push_back(static_cast<double>(counts[idx]));
             break;
         }
       }
@@ -1113,7 +1239,12 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
         } else {
           ways = max_multiplicity(at_addrs, at_n);
         }
-        for (int i = 0; i < at_n; ++i) hist.bump(at_addrs[i]);
+        if (hist != nullptr) {
+          for (int i = 0; i < at_n; ++i) hist->bump(at_addrs[i]);
+        } else {
+          r.atomic_keys.insert(r.atomic_keys.end(), at_addrs,
+                               at_addrs + at_n);
+        }
         const int k = at_uc.resolve(at_segs, at_seg_n);
         cost += atomic_cyc * ways + k * mem_tx_cyc;
         ws += 1;
@@ -1125,8 +1256,7 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
         // Device launches from one warp serialize through the launch queue.
         for (int i = 0; i < ln_n; ++i) {
           cost += launch_cyc;
-          children.push_back(
-              ChildLaunchRecord{launch_children[i], issue_base + cost});
+          r.children.push_back(ChildLaunchRecord{launch_children[i], cost});
         }
         ws += 1;
         alo += static_cast<std::uint64_t>(ln_n);
@@ -1137,7 +1267,7 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
         // A refused launch still pays the issue cost (the lane did the work
         // of trying) but produces no child grid and no device_launches.
         cost += fail_n * launch_cyc;
-        m.fault_cycles += fail_n * launch_cyc;
+        r.fault_log.push_back(fail_n * launch_cyc);
         ws += 1;
         alo += static_cast<std::uint64_t>(fail_n);
         lh[fail_n] += 1;
@@ -1145,7 +1275,7 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
       if (stall_max > 0) {
         // Retry backoff: pure idle latency, no throughput metrics.
         cost += static_cast<double>(stall_max);
-        m.fault_cycles += static_cast<double>(stall_max);
+        r.fault_log.push_back(static_cast<double>(stall_max));
       }
     }
 
@@ -1163,39 +1293,33 @@ double combine_warp_impl(const DeviceSpec& spec, Metrics& m,
     alive = next_alive;
   }
 
-  for (int i = 1; i <= 32; ++i) {
-    if (lh[i] != 0) m.active_lane_hist[i] += lh[i];
-  }
-  m.warp_steps += ws;
-  m.active_lane_ops += alo;
-  m.compute_ops += comp_ops;
-  m.shared_ops += sh_ops;
-  m.atomic_ops += at_ops;
-  m.device_launches += dev_launches;
-  m.gld_requested_bytes += gld_req_b;
-  m.gld_transferred_bytes += gld_xfer_b;
-  m.gst_requested_bytes += gst_req_b;
-  m.gst_transferred_bytes += gst_xfer_b;
-  return cost;
+  r.warp_steps = ws;
+  r.active_lane_ops = alo;
+  r.compute_ops = comp_ops;
+  r.shared_ops = sh_ops;
+  r.atomic_ops = at_ops;
+  r.device_launches = dev_launches;
+  r.gld_requested_bytes = gld_req_b;
+  r.gld_transferred_bytes = gld_xfer_b;
+  r.gst_requested_bytes = gst_req_b;
+  r.gst_transferred_bytes = gst_xfer_b;
+  r.cost = cost;
 }
 
 }  // namespace
 
 namespace detail {
 
-double combine_warp(const DeviceSpec& spec, Metrics& m, const WarpTrace& trace,
-                    int active_lanes, double issue_base,
-                    std::vector<ChildLaunchRecord>& children,
-                    AtomicHist& hist) {
+void reduce_warp(const DeviceSpec& spec, const WarpTrace& trace,
+                 int active_lanes, AtomicHist* hist, WarpResult& r) {
   const auto seg = static_cast<std::uint64_t>(spec.mem_segment_bytes);
   const auto aseg = static_cast<std::uint64_t>(spec.atomic_segment_bytes);
   if (std::has_single_bit(seg) && std::has_single_bit(aseg)) {
-    return combine_warp_impl<true>(spec, m, trace, active_lanes, issue_base,
-                                   children, hist, std::countr_zero(seg),
-                                   std::countr_zero(aseg));
+    reduce_warp_impl<true>(spec, trace, active_lanes, hist, r,
+                           std::countr_zero(seg), std::countr_zero(aseg));
+  } else {
+    reduce_warp_impl<false>(spec, trace, active_lanes, hist, r, 0, 0);
   }
-  return combine_warp_impl<false>(spec, m, trace, active_lanes, issue_base,
-                                  children, hist, 0, 0);
 }
 
 }  // namespace detail

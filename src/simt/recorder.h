@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -17,36 +18,22 @@ namespace nestpar::simt {
 class ThreadPool;
 
 namespace detail {
-
 struct BlockRecord;
-
-/// Warp combine: reduce one warp's recorded SoA trace into cost and metrics.
-/// `issue_base` is the block's accumulated cost before this warp; child
-/// launches found in the trace are appended to `children` with issue offsets,
-/// in lane-ascending order per step (the order the scheduler's event timeline
-/// depends on). Returns the warp's issue cost in cycles. Pure function of its
-/// arguments, so blocks on different host threads can combine concurrently
-/// into their own sinks. The trace is consumed read-only and may be recycled
-/// by the caller immediately afterwards.
-double combine_warp(const DeviceSpec& spec, Metrics& m, const WarpTrace& trace,
-                    int active_lanes, double issue_base,
-                    std::vector<ChildLaunchRecord>& children, AtomicHist& hist);
-
 }  // namespace detail
 
 /// Functional pass: executes kernels eagerly (depth-first for nested
 /// launches) on host memory, reducing per-lane traces into per-block costs,
 /// per-kernel metrics, and a launch DAG for the timing pass.
 ///
-/// Engine structure: every block of a top-level grid runs as an independent
-/// task recording into a private detail::BlockRecord (its cost, its metrics
-/// contributions, its atomic histogram, and — in creation order — every grid
-/// its lanes launched, executed inline on the same thread). The tasks run
-/// serially or on a ThreadPool; either way the records are merged into the
-/// launch graph *in block order* on the submitting thread, which assigns
-/// node ids, launch sequence numbers, and stream ids in exactly the order
-/// the classic serial engine produced. Cycle counts and functional results
-/// are therefore bit-identical across engines.
+/// Engine structure: the blocks of a grid run one after another on the
+/// launching thread, each recording into a recycled detail::BlockRecord (its
+/// cost, its metrics contributions and, in creation order, every grid its
+/// lanes launched, executed inline) that is merged into the launch graph in
+/// block order. All lane code therefore runs on one thread, in (block, lane)
+/// order, under every engine. The only work a ThreadPool takes over is
+/// reducing finished warp traces into costs (BlockCtx), whose results are
+/// folded back in warp order; cycle counts and functional results are
+/// bit-identical across engines by construction.
 class Recorder {
  public:
   explicit Recorder(const DeviceSpec& spec, int max_nesting_depth = 24);
@@ -83,8 +70,8 @@ class Recorder {
     return host_robustness_;
   }
 
-  /// Pool the engine spreads top-level blocks over; nullptr = run serially
-  /// on the launching thread. Results are identical either way.
+  /// Pool that reduces finished warp traces; nullptr = reduce each warp
+  /// inline. Results are identical either way.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* pool() const { return pool_; }
 
@@ -100,8 +87,8 @@ class Recorder {
 
  private:
   std::uint32_t create_host_node(const LaunchConfig& cfg, std::uint32_t stream);
-  /// Execute one recorded grid: fan its blocks out as tasks (pool or serial)
-  /// and merge their records deterministically in block order.
+  /// Execute one recorded grid, block by block, merging the blocks' records
+  /// in block order.
   void run_grid(std::uint32_t node_id, const Kernel& k);
   /// Fold block `b`'s record into grid `node_id` and the launch graph.
   void merge_block(std::uint32_t node_id, std::size_t b,
@@ -126,10 +113,9 @@ class Recorder {
   /// cross-block launch ordering guarantees).
   std::mt19937_64 drain_rng_{0x9e3779b97f4a7c15ull};
   std::uint64_t seq_ = 0;
-  /// Block records, recycled across grids so steady-state grids reuse their
-  /// node arenas and histograms: one shared by blocks that run back-to-back,
-  /// or one per block of a grid spread over the pool.
-  std::vector<detail::BlockRecord> records_;
+  /// Records of the two blocks run_grid keeps in the air, recycled across
+  /// blocks and grids so steady-state grids reuse their node storage.
+  std::unique_ptr<detail::BlockRecord[]> records_;
   /// Atomic histogram of the grid being run, recycled across grids.
   AtomicHist grid_hist_;
   FlatIdMap stream_ids_;

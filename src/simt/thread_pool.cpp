@@ -1,13 +1,26 @@
 #include "src/simt/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
 
 namespace nestpar::simt {
 
 namespace {
-/// Set while a pool thread (or a nested parallel_for caller) is inside a
-/// job, so reentrant submissions degrade to serial instead of deadlocking.
-thread_local bool t_in_pool_job = false;
+
+/// How long an idle worker spins before it parks.
+constexpr std::chrono::microseconds kIdleSpin{1000};
+/// Pause-spins a waiter makes before it starts yielding its core.
+constexpr int kWaitSpins = 4096;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) {
@@ -20,88 +33,94 @@ ThreadPool::ThreadPool(int threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
+    std::lock_guard<std::mutex> lk(park_mu_);
+    stop_.store(true);
   }
-  cv_.notify_all();
+  park_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
+void ThreadPool::lock_queue() {
+  while (queue_locked_.exchange(true, std::memory_order_acquire)) {
+    while (queue_locked_.load(std::memory_order_relaxed)) cpu_relax();
+  }
+}
+
+void ThreadPool::submit(Task& t) {
+  t.done_.store(false, std::memory_order_relaxed);
+  t.error_ = nullptr;
+  lock_queue();
+  queue_.push_back(&t);
+  queued_.store(queue_.size());
+  unlock_queue();
+  // Pairs with the parked_ increment in worker_main: either the worker sees
+  // queued_ > 0 before it sleeps, or this sees it parked and wakes it.
+  if (parked_.load() > 0) {
+    std::lock_guard<std::mutex> lk(park_mu_);
+    park_cv_.notify_one();
+  }
+}
+
+ThreadPool::Task* ThreadPool::try_pop() {
+  if (queued_.load(std::memory_order_relaxed) == 0) return nullptr;
+  lock_queue();
+  Task* t = nullptr;
+  if (!queue_.empty()) {
+    t = queue_.front();
+    queue_.pop_front();
+    queued_.store(queue_.size());
+  }
+  unlock_queue();
+  return t;
+}
+
+void ThreadPool::execute(Task& t) {
+  try {
+    t.run();
+  } catch (...) {
+    t.error_ = std::current_exception();
+  }
+  t.done_.store(true, std::memory_order_release);
+}
+
 void ThreadPool::worker_main() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return stop_ || (job_ && job_serial_ != seen); });
-      if (stop_) return;
-      job = job_;
-      seen = job_serial_;
+  using Clock = std::chrono::steady_clock;
+  while (!stop_.load(std::memory_order_relaxed)) {
+    if (Task* t = try_pop()) {
+      execute(*t);
+      continue;
     }
-    t_in_pool_job = true;
-    work(*job);
-    t_in_pool_job = false;
-  }
-}
-
-void ThreadPool::work(Job& job) {
-  for (;;) {
-    const std::int64_t begin =
-        job.next.fetch_add(job.grain, std::memory_order_relaxed);
-    if (begin >= job.count) return;
-    const std::int64_t end = std::min(begin + job.grain, job.count);
-    for (std::int64_t i = begin; i < end; ++i) {
-      try {
-        (*job.fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(job.err_mu);
-        if (job.err_index < 0 || i < job.err_index) {
-          job.err_index = i;
-          job.err = std::current_exception();
-        }
+    const Clock::time_point park_at = Clock::now() + kIdleSpin;
+    bool idle = true;
+    while (idle && Clock::now() < park_at) {
+      for (int i = 0; i < 64 && queued_.load(std::memory_order_relaxed) == 0;
+           ++i) {
+        cpu_relax();
       }
+      idle = queued_.load(std::memory_order_relaxed) == 0;
     }
-    if (job.done.fetch_add(end - begin, std::memory_order_acq_rel) +
-            (end - begin) ==
-        job.count) {
-      std::lock_guard<std::mutex> lk(mu_);
-      done_cv_.notify_all();
-      return;
-    }
+    if (!idle) continue;
+    std::unique_lock<std::mutex> lk(park_mu_);
+    parked_.fetch_add(1);
+    park_cv_.wait(lk, [&] { return stop_.load() || queued_.load() > 0; });
+    parked_.fetch_sub(1);
   }
 }
 
-void ThreadPool::parallel_for(std::int64_t count,
-                              const std::function<void(std::int64_t)>& fn) {
-  if (count <= 0) return;
-  if (count == 1 || workers_.empty() || t_in_pool_job) {
-    for (std::int64_t i = 0; i < count; ++i) fn(i);
-    return;
+void ThreadPool::wait(Task& t) {
+  // Yield once spinning has gone on for a while, in case the thread running
+  // `t` lost its core.
+  for (int spins = 0; !t.done_.load(std::memory_order_acquire);) {
+    if (Task* next = try_pop()) {
+      execute(*next);
+      spins = 0;
+    } else if (++spins < kWaitSpins) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
   }
-
-  auto job = std::make_shared<Job>();
-  job->count = count;
-  job->grain = std::max<std::int64_t>(1, count / (8 * threads()));
-  job->fn = &fn;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_ = job;
-    ++job_serial_;
-  }
-  cv_.notify_all();
-
-  t_in_pool_job = true;
-  work(*job);
-  t_in_pool_job = false;
-
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [&] {
-      return job->done.load(std::memory_order_acquire) == job->count;
-    });
-    job_ = nullptr;
-  }
-  if (job->err) std::rethrow_exception(job->err);
+  if (t.error_) std::rethrow_exception(std::exchange(t.error_, nullptr));
 }
 
 }  // namespace nestpar::simt

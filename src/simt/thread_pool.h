@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <deque>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -14,50 +12,68 @@ namespace nestpar::simt {
 
 /// Persistent host thread pool used by the parallel functional engine.
 ///
-/// The only primitive is `parallel_for`: run `fn(i)` for i in [0, count)
-/// across the workers plus the calling thread, claiming dynamically sized
-/// chunks from a shared counter so skewed per-block work (the whole point of
-/// this repo) still load-balances. Exceptions are captured per index and the
-/// one with the smallest index is rethrown after the loop completes, so
-/// error behavior is deterministic regardless of thread timing.
+/// The only primitive is the asynchronous task: `submit(t)` queues a Task,
+/// `wait(t)` returns once it has run. A waiting thread does not idle while
+/// the queue holds work — it runs queued tasks (its own first, since the
+/// queue is FIFO) until `t` is done — so a pool of N threads is N-1 workers
+/// plus whichever thread waits. Tasks must not submit or wait themselves.
+///
+/// The engine's tasks take microseconds, and on a virtual machine waking a
+/// parked thread costs tens of microseconds. So the queue is guarded by a
+/// spin lock rather than a mutex a loser would sleep on, waiters spin, and
+/// an idle worker spins for about a millisecond before it parks.
 class ThreadPool {
  public:
-  /// Spawns `threads - 1` workers; the calling thread is the remaining one.
+  /// A unit of work. The submitter owns it and keeps it alive, unmodified,
+  /// until `wait` on it has returned; an exception `run` throws is captured
+  /// and rethrown by that `wait`.
+  class Task {
+   public:
+    virtual void run() = 0;
+
+   protected:
+    Task() = default;
+    ~Task() = default;
+    Task(const Task&) = delete;
+    Task& operator=(const Task&) = delete;
+
+   private:
+    friend class ThreadPool;
+    std::atomic<bool> done_{true};
+    std::exception_ptr error_;  ///< Written before done_ is released.
+  };
+
+  /// Spawns `threads - 1` workers; the thread that waits is the last one.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total execution threads, including the caller of parallel_for.
+  /// Total execution threads, including the waiting caller.
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  void parallel_for(std::int64_t count,
-                    const std::function<void(std::int64_t)>& fn);
+  void submit(Task& t);
+  void wait(Task& t);
 
  private:
-  struct Job {
-    std::int64_t count = 0;
-    std::int64_t grain = 1;
-    const std::function<void(std::int64_t)>* fn = nullptr;
-    std::atomic<std::int64_t> next{0};  ///< Next index to claim.
-    std::atomic<std::int64_t> done{0};  ///< Indices finished (incl. failed).
-    std::mutex err_mu;
-    std::int64_t err_index = -1;
-    std::exception_ptr err;
-  };
-
   void worker_main();
-  /// Claim-and-run loop shared by workers and the submitting thread.
-  void work(Job& job);
+  /// Pop the oldest queued task, or nullptr when the queue is empty.
+  Task* try_pop();
+  static void execute(Task& t);
 
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;       ///< Wakes workers (new job / stop).
-  std::condition_variable done_cv_;  ///< Wakes the submitter on completion.
-  std::shared_ptr<Job> job_;
-  std::uint64_t job_serial_ = 0;
-  bool stop_ = false;
+  void lock_queue();
+  void unlock_queue() { queue_locked_.store(false, std::memory_order_release); }
+
+  std::atomic<bool> queue_locked_{false};
+  std::deque<Task*> queue_;            ///< Guarded by queue_locked_.
+  std::atomic<std::size_t> queued_{0};  ///< queue_.size(), read unlocked.
+
+  std::mutex park_mu_;  ///< Only for parking idle workers.
+  std::condition_variable park_cv_;
+  std::atomic<int> parked_{0};
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;  ///< Last: joined before the rest dies.
 };
 
 }  // namespace nestpar::simt

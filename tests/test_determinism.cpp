@@ -1,22 +1,33 @@
-// Engine determinism: the multi-threaded host engine must be functionally
-// and *temporally* indistinguishable from the serial engine — identical
-// result arrays bit for bit, identical modeled cycle counts, identical
-// metrics, identical launch-graph shape. Every suite here is named
-// *Determinism* so the tsan CMake preset can select exactly these tests.
+// Engine determinism: the parallel host engine must be functionally and
+// *temporally* indistinguishable from the serial engine — identical result
+// arrays bit for bit, identical modeled cycle counts, identical metrics,
+// identical launch-graph shape — for every app, including the ones whose
+// lanes race on atomics and branch on who won (BC, recursive BFS, CC). Every
+// suite here is named *Determinism* so the tsan CMake preset can select
+// exactly these tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/apps/bc.h"
+#include "src/apps/bfs.h"
+#include "src/apps/cc.h"
+#include "src/apps/kcore.h"
+#include "src/apps/pagerank.h"
 #include "src/apps/spmv.h"
 #include "src/apps/sssp.h"
+#include "src/apps/triangles.h"
 #include "src/graph/generators.h"
 #include "src/matrix/csr_matrix.h"
 #include "src/nested/templates.h"
 #include "src/rec/tree_traversal.h"
 #include "src/simt/device.h"
 #include "src/simt/exec_policy.h"
+#include "src/simt/thread_pool.h"
 #include "src/tree/tree.h"
 
 namespace simt = nestpar::simt;
@@ -30,7 +41,7 @@ namespace tree = nestpar::tree;
 namespace {
 
 // Exact equality on every field of the report, doubles included: the
-// parallel engine merges per-block records in block order, so even
+// parallel engine folds reduced warps back in warp order, so even
 // floating-point cycle sums must come out bit-identical, not merely close.
 void expect_identical(const simt::RunReport& s, const simt::RunReport& p) {
   EXPECT_EQ(s.total_cycles, p.total_cycles);
@@ -82,11 +93,9 @@ void expect_identical(const simt::RunReport& s, const simt::RunReport& p) {
   }
 }
 
-// Node-by-node equality of two launch graphs. The serial engine has every
-// block of a grid bump one shared atomic histogram and recycles its block
-// records across grids; the parallel engine gives each block its own
-// histogram and folds them at the merge. Both must give each grid the same
-// hottest-address count and the same per-block costs and child lists.
+// Node-by-node equality of two launch graphs: the same hottest-address
+// count, per-block costs and child lists for every grid, whichever thread
+// reduced each warp.
 void expect_same_graph(const simt::LaunchGraph& s, const simt::LaunchGraph& p) {
   ASSERT_EQ(s.nodes.size(), p.nodes.size());
   for (std::size_t i = 0; i < s.nodes.size(); ++i) {
@@ -130,6 +139,28 @@ std::uint32_t first_source(const graph::Csr& g) {
     if (g.row_offsets[v + 1] > g.row_offsets[v]) return v;
   }
   return 0;
+}
+
+// Runs `app(dev)` in one session per engine; its return values and the
+// full reports must match exactly.
+template <class App>
+void expect_engines_agree(const App& app) {
+  simt::Device dev;
+  const auto run = [&](const simt::ExecPolicy& policy) {
+    simt::Session session = dev.session(policy);
+    auto values = app(dev);
+    return std::pair{std::move(values), session.report()};
+  };
+  const auto [vs, rs] = run(simt::ExecPolicy::serial());
+  const auto [vp, rp] = run(kParallel);
+  EXPECT_EQ(vs, vp);  // bitwise-equal floats
+  expect_identical(rs, rp);
+}
+
+// Symmetric with sorted adjacency, as CC, k-core and triangles require.
+graph::Csr small_symmetric_graph() {
+  return graph::symmetrize(
+      graph::generate_power_law(500, 1, 80, 5.0, 20150707, false));
 }
 
 // --- nested-loop templates -----------------------------------------------------
@@ -184,6 +215,58 @@ TEST_P(LoopDeterminism, SpmvBundledRunMatches) {
   expect_identical(rs.report, rp.report);
 }
 
+// Lanes claim nodes with atomic_cas and accumulate path counts with
+// atomic_add, then branch on the old values.
+TEST_P(LoopDeterminism, BcMatchesSerialEngineExactly) {
+  const graph::Csr g =
+      graph::generate_power_law(500, 0, 100, 5.0, 20150707, true);
+  nested::LoopParams p;
+  p.lb_threshold = 32;
+  expect_engines_agree([&](simt::Device& dev) {
+    return apps::run_bc(dev, g, GetParam(), p, apps::BcOptions{6});
+  });
+}
+
+TEST_P(LoopDeterminism, PageRankMatchesSerialEngineExactly) {
+  const graph::Csr g =
+      graph::generate_power_law(500, 0, 100, 5.0, 20150707, true);
+  nested::LoopParams p;
+  p.lb_threshold = 32;
+  apps::PageRankOptions opt;
+  opt.iterations = 3;
+  expect_engines_agree([&](simt::Device& dev) {
+    return apps::run_pagerank(dev, g, GetParam(), p, opt);
+  });
+}
+
+// Min-label propagation: atomic_min, then a branch on whether it lowered.
+TEST_P(LoopDeterminism, CcMatchesSerialEngineExactly) {
+  const graph::Csr g = small_symmetric_graph();
+  nested::LoopParams p;
+  p.lb_threshold = 32;
+  expect_engines_agree([&](simt::Device& dev) {
+    return apps::run_cc(dev, g, GetParam(), p);
+  });
+}
+
+TEST_P(LoopDeterminism, KcoreMatchesSerialEngineExactly) {
+  const graph::Csr g = small_symmetric_graph();
+  nested::LoopParams p;
+  p.lb_threshold = 32;
+  expect_engines_agree([&](simt::Device& dev) {
+    return apps::run_kcore(dev, g, GetParam(), p);
+  });
+}
+
+TEST_P(LoopDeterminism, TrianglesMatchSerialEngineExactly) {
+  const graph::Csr g = small_symmetric_graph();
+  nested::LoopParams p;
+  p.lb_threshold = 32;
+  expect_engines_agree([&](simt::Device& dev) {
+    return apps::run_triangle_count(dev, g, GetParam(), p);
+  });
+}
+
 // gtest parameter names must be identifiers; the canonical template names
 // use dashes (e.g. "block-mapped"), so swap them for underscores here.
 std::string test_name(std::string_view canonical) {
@@ -235,6 +318,28 @@ INSTANTIATE_TEST_SUITE_P(AllTemplates, RecDeterminism,
                            return test_name(rec::name(info.param));
                          });
 
+// Recursive BFS lanes atomic_min a neighbor's level and recurse or launch
+// only when they lowered it, so who wins decides the launch graph.
+graph::Csr bfs_graph() {
+  return graph::generate_power_law(800, 1, 80, 4.0, 20150707, true);
+}
+
+class BfsDeterminism : public testing::TestWithParam<rec::RecTemplate> {};
+
+TEST_P(BfsDeterminism, RecursiveBfsMatchesSerialEngineExactly) {
+  const graph::Csr g = bfs_graph();
+  expect_engines_agree([&](simt::Device& dev) {
+    return apps::bfs_recursive_gpu(dev, g, first_source(g), GetParam());
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RecursiveTemplates, BfsDeterminism,
+                         testing::Values(rec::RecTemplate::kRecNaive,
+                                         rec::RecTemplate::kRecHier),
+                         [](const auto& info) {
+                           return test_name(rec::name(info.param));
+                         });
+
 // --- launch graphs, node by node -----------------------------------------------
 
 // Launch-dense runs (one child grid per heavy row or tree node) exercise the
@@ -269,6 +374,21 @@ TEST(GraphDeterminism, RecNaiveTreeTraversalGraphMatchesNodeByNode) {
         dev, tr,
         rec::TreeRun{rec::TreeAlgo::kDescendants, rec::RecTemplate::kRecNaive,
                      {}, std::nullopt});
+    return dev.graph();
+  };
+  const simt::LaunchGraph s = record(simt::ExecPolicy::serial());
+  const simt::LaunchGraph p = record(kParallel);
+  EXPECT_GT(s.nodes.size(), 100u);
+  expect_same_graph(s, p);
+}
+
+TEST(GraphDeterminism, RecHierBfsGraphMatchesNodeByNode) {
+  const graph::Csr g = bfs_graph();
+  simt::Device dev;
+  const auto record = [&](const simt::ExecPolicy& policy) {
+    simt::Session session = dev.session(policy);
+    apps::bfs_recursive_gpu(dev, g, first_source(g),
+                            rec::RecTemplate::kRecHier);
     return dev.graph();
   };
   const simt::LaunchGraph s = record(simt::ExecPolicy::serial());
@@ -332,7 +452,7 @@ TEST(SyntheticDeterminism, StreamsEventsAndAsyncLaunchesMatch) {
 }
 
 // The parallel engine must also agree with itself across repeated runs and
-// across thread counts (2 vs 4): block-order merging, not scheduling luck.
+// across thread counts (2 vs 4): warp-order folding, not scheduling luck.
 TEST(SyntheticDeterminism, StableAcrossRunsAndThreadCounts) {
   simt::Device dev;
   std::vector<float> d1(4096, 0.5f), d2(4096, 0.5f), d3(4096, 0.5f);
@@ -344,6 +464,34 @@ TEST(SyntheticDeterminism, StableAcrossRunsAndThreadCounts) {
   EXPECT_EQ(d1, d3);
   expect_identical(r1, r2);
   expect_identical(r1, r3);
+}
+
+// The pool under the parallel engine: every submitted task runs exactly
+// once, whether a worker or the waiter picks it up, and a task's exception
+// reaches the wait on that task and no other.
+TEST(PoolDeterminism, TasksRunOnceAndErrorsReachTheirWaiter) {
+  struct CountTask final : simt::ThreadPool::Task {
+    int runs = 0;
+    bool fail = false;
+    void run() override {
+      ++runs;
+      if (fail) throw std::runtime_error("task failed");
+    }
+  };
+  simt::ThreadPool pool(4);
+  std::vector<CountTask> tasks(300);
+  tasks[137].fail = true;
+  for (int round = 0; round < 3; ++round) {
+    for (CountTask& t : tasks) pool.submit(t);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (i == 137) {
+        EXPECT_THROW(pool.wait(tasks[i]), std::runtime_error);
+      } else {
+        EXPECT_NO_THROW(pool.wait(tasks[i]));
+      }
+    }
+  }
+  for (const CountTask& t : tasks) EXPECT_EQ(t.runs, 3);
 }
 
 }  // namespace

@@ -90,6 +90,10 @@ int run_suite(const bench::SuiteSpec& spec,
   } catch (const std::invalid_argument& e) {
     slog::error("suite '%s': %s\n", name.c_str(), e.what());
     return 2;
+  } catch (const std::exception& e) {
+    // Any other failure fails this suite only; --all runs the rest.
+    slog::error("suite '%s' threw: %s\n", name.c_str(), e.what());
+    return 1;
   }
   result.suite = spec.name;
   result.figure = spec.figure;

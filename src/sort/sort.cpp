@@ -5,6 +5,7 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace nestpar::sort {
 
@@ -175,6 +176,54 @@ void selection_sort(LaneCtx& t, int* d, std::int64_t lo, std::int64_t hi) {
   std::sort(d + lo, d + hi + 1);
 }
 
+/// Charged serial Hoare partition of d[i..j] around its middle element by
+/// one lane. On return d[lo..j] <= pivot <= d[i..hi] for the original bounds.
+void hoare_partition(LaneCtx& t, int* d, std::int64_t& i, std::int64_t& j) {
+  const int pivot = t.ld(&d[(i + j) / 2]);
+  while (i <= j) {
+    while (t.compute(1), t.ld(&d[i]) < pivot) ++i;
+    while (t.compute(1), t.ld(&d[j]) > pivot) --j;
+    if (i <= j) {
+      const int a = d[i], b = d[j];
+      t.st(&d[i], b);
+      t.st(&d[j], a);
+      ++i;
+      --j;
+    }
+  }
+}
+
+/// Degraded path shared by both CDP quicksorts: the lane whose nested launch
+/// was refused sorts d[lo..hi] itself with an explicit-stack quicksort (the
+/// same Hoare partition, selection sort at or below `leaf_threshold`), so a
+/// refusal costs time, never order.
+void stack_quicksort(LaneCtx& t, int* d, std::int64_t lo, std::int64_t hi,
+                     int leaf_threshold) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> stack{{lo, hi}};
+  while (!stack.empty()) {
+    const auto [l, h] = stack.back();
+    stack.pop_back();
+    if (h - l + 1 <= leaf_threshold) {
+      selection_sort(t, d, l, h);
+      continue;
+    }
+    std::int64_t i = l, j = h;
+    hoare_partition(t, d, i, j);
+    if (l < j) stack.emplace_back(l, j);
+    if (i < h) stack.emplace_back(i, h);
+  }
+}
+
+/// Nested launch of `k`, which sorts d[lo..hi]; if the device refuses it
+/// (after retries), the launching lane sorts the range in place instead.
+void launch_or_sort(LaneCtx& t, const LaunchConfig& cc, const Kernel& k,
+                    int slot, int* d, std::int64_t lo, std::int64_t hi,
+                    int leaf_threshold) {
+  if (t.launch_with_retry(cc, k, slot)) return;
+  t.note_degraded();
+  stack_quicksort(t, d, lo, hi, leaf_threshold);
+}
+
 Kernel make_simple_qs_kernel(std::shared_ptr<const QsCtx> ctx, std::int64_t lo,
                              std::int64_t hi, int depth);
 
@@ -188,25 +237,21 @@ Kernel make_simple_qs_kernel(std::shared_ptr<const QsCtx> ctx, std::int64_t lo,
       return;
     }
     // Serial Hoare partition by the kernel's single thread.
-    const int pivot = t.ld(&d[(lo + hi) / 2]);
     std::int64_t i = lo, j = hi;
-    while (i <= j) {
-      while (t.compute(1), t.ld(&d[i]) < pivot) ++i;
-      while (t.compute(1), t.ld(&d[j]) > pivot) --j;
-      if (i <= j) {
-        const int a = d[i], b = d[j];
-        t.st(&d[i], b);
-        t.st(&d[j], a);
-        ++i;
-        --j;
-      }
-    }
+    hoare_partition(t, d, i, j);
     LaunchConfig cc;
     cc.grid_blocks = 1;
     cc.block_threads = 1;
     cc.name = "simple-qs";
-    if (lo < j) t.launch(cc, make_simple_qs_kernel(ctx, lo, j, depth + 1));
-    if (i < hi) t.launch(cc, make_simple_qs_kernel(ctx, i, hi, depth + 1));
+    const int leaf = ctx->opt.leaf_threshold;
+    if (lo < j) {
+      launch_or_sort(t, cc, make_simple_qs_kernel(ctx, lo, j, depth + 1), -1,
+                     d, lo, j, leaf);
+    }
+    if (i < hi) {
+      launch_or_sort(t, cc, make_simple_qs_kernel(ctx, i, hi, depth + 1), -1,
+                     d, i, hi, leaf);
+    }
   });
 }
 
@@ -308,13 +353,17 @@ Kernel make_advanced_qs_kernel(std::shared_ptr<const AqsCtx> ctx,
       cc.block_threads = ctx->opt.block_threads;
       cc.grid_blocks = 1;
       cc.name = "advanced-qs";
+      const int leaf = ctx->opt.leaf_threshold;
       if (less > 1) {
-        t.launch(cc, make_advanced_qs_kernel(ctx, lo, lo + less - 1,
-                                             depth + 1));
+        const std::int64_t end = lo + less - 1;
+        launch_or_sort(t, cc, make_advanced_qs_kernel(ctx, lo, end, depth + 1),
+                       -1, d, lo, end, leaf);
       }
       if (greater > 1) {
-        t.launch(cc, make_advanced_qs_kernel(ctx, hi - greater + 1, hi,
-                                             depth + 1), 0);
+        const std::int64_t begin = hi - greater + 1;
+        launch_or_sort(t, cc,
+                       make_advanced_qs_kernel(ctx, begin, hi, depth + 1), 0,
+                       d, begin, hi, leaf);
       }
     });
   };

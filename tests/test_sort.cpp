@@ -131,4 +131,39 @@ TEST(SortStructure, MakeKeysDeterministic) {
   EXPECT_NE(sort::make_keys(64, 5), sort::make_keys(64, 6));
 }
 
+// Refused nested launches must cost time, never order: both CDP quicksorts
+// degrade to sorting the refused range in the launching lane. The fault
+// config is pinned per case, so the ambient-fault rerun (`nestpar_faults`,
+// which matches this suite) runs the same two rates.
+class SortFaults : public testing::TestWithParam<double> {};
+
+TEST_P(SortFaults, QuickSortsStaySortedWhenLaunchesFail) {
+  const double rate = GetParam();
+  for (const Algo algo : {Algo::kSimpleQs, Algo::kAdvancedQs}) {
+    SCOPED_TRACE(algo == Algo::kSimpleQs ? "simple-qs" : "advanced-qs");
+    auto keys = sort::make_keys(20000, 11);
+    auto want = keys;
+    std::sort(want.begin(), want.end());
+    simt::Device dev;
+    simt::FaultConfig faults;
+    faults.device_launch_rate = rate;
+    dev.set_fault_config(faults);
+    simt::Session session = dev.session();
+    run_algo(dev, algo, keys);
+    EXPECT_EQ(keys, want);
+    const simt::RunReport r = session.report();
+    EXPECT_GT(r.robustness.refused_total(), 0u);
+    if (rate == 1.0) {
+      EXPECT_GT(r.robustness.degraded, 0u);
+      EXPECT_EQ(r.device_grids, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rates, SortFaults, testing::Values(1.0, 0.05),
+                         [](const testing::TestParamInfo<double>& info) {
+                           return info.param == 1.0 ? std::string("all")
+                                                    : std::string("some");
+                         });
+
 }  // namespace

@@ -283,9 +283,6 @@ class LaneCtx {
                                   int extra_stream_slot = -1);
   LaunchResult try_launch_async(const LaunchConfig& cfg, Kernel k,
                                 int extra_stream_slot = -1);
-  LaunchResult try_launch_threads_async(const LaunchConfig& cfg,
-                                        ThreadKernel k,
-                                        int extra_stream_slot = -1);
 
   /// try_launch with retry-with-backoff on *transient* faults: up to
   /// FaultConfig::max_retries retries, each preceded by an exponentially

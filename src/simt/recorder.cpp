@@ -353,12 +353,6 @@ LaunchResult LaneCtx::try_launch_threads(const LaunchConfig& cfg,
   return try_launch(cfg, as_kernel(std::move(k)), extra_stream_slot);
 }
 
-LaunchResult LaneCtx::try_launch_threads_async(const LaunchConfig& cfg,
-                                               ThreadKernel k,
-                                               int extra_stream_slot) {
-  return try_launch_async(cfg, as_kernel(std::move(k)), extra_stream_slot);
-}
-
 LaunchResult LaneCtx::launch_with_retry(const LaunchConfig& cfg,
                                         const Kernel& k,
                                         int extra_stream_slot) {

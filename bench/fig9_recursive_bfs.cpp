@@ -60,7 +60,7 @@ int run(const bench::Args& args, bench::SuiteResult& out) {
     const auto slowdown = [&](RecTemplate t, int streams) {
       simt::Device dev;
       simt::Session session = dev.session();
-      apps::BfsRecOptions opt;
+      rec::RecOptions opt;
       opt.streams_per_block = streams;
       apps::bfs_recursive_gpu(dev, g, src, t, opt);
       const simt::RunReport rep = session.report();

@@ -1,8 +1,11 @@
 #include "src/apps/bfs.h"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "src/rec/recursion.h"
 
 namespace nestpar::apps {
 
@@ -14,77 +17,49 @@ using simt::Kernel;
 using simt::LaneCtx;
 using simt::LaunchConfig;
 
-struct BfsCtx {
+/// One recursive BFS, and its hooks into the shared recursion
+/// (src/rec/recursion.h): a lane relaxes one neighbor of a reached node and
+/// fire-and-forget recurses on it if its level improved.
+struct BfsCtx : rec::RecShape {
+  static constexpr bool kAsync = true;
   const graph::Csr* g;
   std::uint32_t* level;
-  BfsRecOptions opt;
-};
 
-/// Degraded path shared by both recursive BFS templates: when a nested
-/// launch is refused, the refusing lane relaxes the reachable improvement
-/// region iteratively (explicit worklist) from the refused node — same
-/// atomic_min discipline, no further nested launches.
-void iterative_bfs_fallback(LaneCtx& t, const graph::Csr& g,
-                            std::uint32_t* level, std::uint32_t start) {
-  std::vector<std::uint32_t> work{start};
-  while (!work.empty()) {
-    const std::uint32_t v = work.back();
-    work.pop_back();
+  std::optional<std::uint32_t> enter(LaneCtx& t, std::uint32_t v) const {
     const std::uint32_t lv = t.ld(&level[v]);
-    if (lv == kBfsUnreached) continue;
-    const std::uint32_t off = t.ld(&g.row_offsets[v]);
-    const std::uint32_t end = t.ld(&g.row_offsets[v + 1]);
-    for (std::uint32_t e = off; e < end; ++e) {
-      const std::uint32_t nb = t.ld(&g.col_indices[e]);
-      const std::uint32_t old = t.atomic_min(&level[nb], lv + 1);
-      if (old > lv + 1 && g.degree(nb) > 0) work.push_back(nb);
+    if (lv == kBfsUnreached) return std::nullopt;  // Stale queued traversal.
+    return lv;
+  }
+  bool expand(LaneCtx& t, std::uint32_t lv, std::uint32_t n) const {
+    const std::uint32_t old = t.atomic_min(&level[n], lv + 1);
+    return old > lv + 1 && g->degree(n) > 0;
+  }
+  /// Degraded path of both templates: the lane whose launch was refused
+  /// relaxes the reachable improvement region from `start` iteratively
+  /// (explicit worklist), with the same atomic_min discipline and no further
+  /// nested launches.
+  void fallback(LaneCtx& t, std::uint32_t start) const {
+    std::vector<std::uint32_t> work{start};
+    while (!work.empty()) {
+      const std::uint32_t v = work.back();
+      work.pop_back();
+      const std::uint32_t lv = t.ld(&level[v]);
+      if (lv == kBfsUnreached) continue;
+      const std::uint32_t off = t.ld(&g->row_offsets[v]);
+      const std::uint32_t end = t.ld(&g->row_offsets[v + 1]);
+      for (std::uint32_t e = off; e < end; ++e) {
+        const std::uint32_t nb = t.ld(&g->col_indices[e]);
+        const std::uint32_t old = t.atomic_min(&level[nb], lv + 1);
+        if (old > lv + 1 && g->degree(nb) > 0) work.push_back(nb);
+      }
     }
   }
-}
+  void after(LaneCtx&, std::uint32_t, std::uint32_t) const {}
+};
 
-/// Naive recursion: single-block kernel per traversed node; each thread
-/// relaxes one neighbor and fire-and-forget recurses on improvement.
-Kernel make_naive_bfs_kernel(std::shared_ptr<const BfsCtx> ctx,
-                             std::uint32_t v);
-
-Kernel make_naive_bfs_kernel(std::shared_ptr<const BfsCtx> ctx,
-                             std::uint32_t v) {
-  return [ctx, v](BlockCtx& blk) {
-    const graph::Csr& g = *ctx->g;
-    blk.each_thread([&](LaneCtx& t) {
-      const std::uint32_t lv = t.ld(&ctx->level[v]);
-      if (lv == kBfsUnreached) return;  // Stale queued traversal.
-      const std::uint32_t off = t.ld(&g.row_offsets[v]);
-      const std::uint32_t end = t.ld(&g.row_offsets[v + 1]);
-      for (std::uint32_t e = off + static_cast<std::uint32_t>(t.thread_idx());
-           e < end; e += static_cast<std::uint32_t>(t.block_dim())) {
-        const std::uint32_t n = t.ld(&g.col_indices[e]);
-        const std::uint32_t old = t.atomic_min(&ctx->level[n], lv + 1);
-        if (old > lv + 1 && g.degree(n) > 0) {
-          LaunchConfig cc;
-          cc.grid_blocks = 1;
-          cc.block_threads = ctx->opt.rec_block_size;
-          cc.name = "bfs/rec-naive";
-          const int slot =
-              static_cast<int>(e % static_cast<std::uint32_t>(
-                                       ctx->opt.streams_per_block)) -
-              1;
-          if (!t.try_launch_async(cc, make_naive_bfs_kernel(ctx, n), slot)) {
-            t.note_degraded();
-            iterative_bfs_fallback(t, g, ctx->level, n);
-          }
-        }
-      }
-    });
-  };
-}
-
-/// Hierarchical recursion: one block per neighbor (child), threads over the
-/// child's neighbors (grandchildren); improved grandchildren recurse with a
-/// grid-per-node fire-and-forget launch.
-Kernel make_hier_bfs_kernel(std::shared_ptr<const BfsCtx> ctx,
-                            std::uint32_t v);
-
+/// Hierarchical recursion: one block per neighbor (child), relaxed by thread
+/// 0; threads over the child's neighbors (grandchildren); improved
+/// grandchildren recurse with a grid-per-node fire-and-forget launch.
 Kernel make_hier_bfs_kernel(std::shared_ptr<const BfsCtx> ctx,
                             std::uint32_t v) {
   return [ctx, v](BlockCtx& blk) {
@@ -104,31 +79,15 @@ Kernel make_hier_bfs_kernel(std::shared_ptr<const BfsCtx> ctx,
       if (old > lv + 1) t.sh_st(&improved[0], 1);
     });
 
+    // Each lane expands its share of the improved child's neighbors, as
+    // rec-naive does, into grid-per-node children of this kernel.
     blk.each_thread([&](LaneCtx& t) {
       if (t.sh_ld(&improved[0]) == 0) return;
-      const std::uint32_t c = t.sh_ld(&child[0]);
-      const std::uint32_t lc = t.ld(&ctx->level[c]);
-      const std::uint32_t coff = t.ld(&g.row_offsets[c]);
-      const std::uint32_t cend = t.ld(&g.row_offsets[c + 1]);
-      for (std::uint32_t e = coff + static_cast<std::uint32_t>(t.thread_idx());
-           e < cend; e += static_cast<std::uint32_t>(t.block_dim())) {
-        const std::uint32_t gch = t.ld(&g.col_indices[e]);
-        const std::uint32_t old = t.atomic_min(&ctx->level[gch], lc + 1);
-        if (old > lc + 1 && g.degree(gch) > 0) {
-          LaunchConfig cc;
-          cc.grid_blocks = static_cast<int>(g.degree(gch));
-          cc.block_threads = ctx->opt.rec_block_size;
-          cc.name = "bfs/rec-hier";
-          const int slot =
-              static_cast<int>(e % static_cast<std::uint32_t>(
-                                       ctx->opt.streams_per_block)) -
-              1;
-          if (!t.try_launch_async(cc, make_hier_bfs_kernel(ctx, gch), slot)) {
-            t.note_degraded();
-            iterative_bfs_fallback(t, g, ctx->level, gch);
-          }
-        }
-      }
+      rec::expand_lane(t, *ctx, t.sh_ld(&child[0]), [&](std::uint32_t gch) {
+        return std::pair{
+            rec::rec_grid(ctx->name, static_cast<int>(g.degree(gch))),
+            make_hier_bfs_kernel(ctx, gch)};
+      });
     });
   };
 }
@@ -143,10 +102,7 @@ std::vector<std::uint32_t> bfs_flat_gpu(Device& dev, const graph::Csr& g,
   level[src] = 0;
   auto changed = std::make_shared<int>(1);
 
-  LaunchConfig cfg;
-  cfg.block_threads = block_size;
-  cfg.grid_blocks = Device::blocks_for(n, block_size, 65535);
-  cfg.name = "bfs/flat";
+  const LaunchConfig cfg = rec::thread_mapped(n, "bfs/flat", block_size);
 
   std::uint32_t cur = 0;
   while (*changed != 0) {
@@ -176,12 +132,10 @@ std::vector<std::uint32_t> bfs_flat_gpu(Device& dev, const graph::Csr& g,
 std::vector<std::uint32_t> bfs_recursive_gpu(Device& dev, const graph::Csr& g,
                                              std::uint32_t src,
                                              rec::RecTemplate tmpl,
-                                             const BfsRecOptions& opt) {
+                                             const rec::RecOptions& opt) {
   const std::uint32_t n = g.num_nodes();
   if (src >= n) throw std::invalid_argument("bfs_recursive_gpu: source oob");
-  if (opt.streams_per_block < 1) {
-    throw std::invalid_argument("bfs_recursive_gpu: streams_per_block < 1");
-  }
+  opt.validate();
   if (tmpl != rec::RecTemplate::kRecNaive &&
       tmpl != rec::RecTemplate::kRecHier) {
     throw std::invalid_argument(
@@ -193,17 +147,15 @@ std::vector<std::uint32_t> bfs_recursive_gpu(Device& dev, const graph::Csr& g,
   level[src] = 0;
   if (g.degree(src) == 0) return level;
 
-  auto ctx = std::make_shared<BfsCtx>(BfsCtx{&g, level.data(), opt});
-  LaunchConfig cfg;
-  cfg.block_threads = opt.rec_block_size;
+  const auto ctx = std::make_shared<const BfsCtx>(
+      BfsCtx{{g.row_offsets.data(), g.col_indices.data(),
+              opt.streams_per_block, "bfs/" + std::string(rec::name(tmpl))},
+             &g, level.data()});
   if (tmpl == rec::RecTemplate::kRecNaive) {
-    cfg.grid_blocks = 1;
-    cfg.name = "bfs/rec-naive";
-    dev.launch(cfg, make_naive_bfs_kernel(ctx, src));
+    dev.launch(rec::rec_grid(ctx->name), rec::make_rec_naive_kernel(ctx, src));
   } else {
-    cfg.grid_blocks = static_cast<int>(g.degree(src));
-    cfg.name = "bfs/rec-hier";
-    dev.launch(cfg, make_hier_bfs_kernel(ctx, src));
+    dev.launch(rec::rec_grid(ctx->name, static_cast<int>(g.degree(src))),
+               make_hier_bfs_kernel(ctx, src));
   }
   return level;
 }

@@ -14,14 +14,6 @@ namespace nestpar::apps {
 inline constexpr std::uint32_t kBfsUnreached =
     std::numeric_limits<std::uint32_t>::max();
 
-/// Tuning for the recursive BFS variants (paper Fig. 9).
-struct BfsRecOptions {
-  int rec_block_size = 64;
-  /// 1 = default child stream per block; 2 adds one extra stream per block
-  /// (the paper's "-stream" variants; more streams only added overhead).
-  int streams_per_block = 1;
-};
-
 /// Flat GPU BFS: level-synchronous thread-mapped traversal after [5] — the
 /// work-efficient code variant with no atomics. Returns per-node levels.
 std::vector<std::uint32_t> bfs_flat_gpu(simt::Device& dev,
@@ -33,12 +25,11 @@ std::vector<std::uint32_t> bfs_flat_gpu(simt::Device& dev,
 /// recursion template: traversing a node recursively traverses neighbors
 /// whose level decreased. Not work-efficient; requires atomics. Child grids
 /// are fire-and-forget CDP launches. Any `tmpl` other than kRecNaive or
-/// kRecHier throws std::invalid_argument, as does an out-of-range `src`.
-std::vector<std::uint32_t> bfs_recursive_gpu(simt::Device& dev,
-                                             const graph::Csr& g,
-                                             std::uint32_t src,
-                                             rec::RecTemplate tmpl,
-                                             const BfsRecOptions& opt = {});
+/// kRecHier throws std::invalid_argument, as do an out-of-range `src` and
+/// options that fail `RecOptions::validate`.
+std::vector<std::uint32_t> bfs_recursive_gpu(
+    simt::Device& dev, const graph::Csr& g, std::uint32_t src,
+    rec::RecTemplate tmpl, const rec::RecOptions& opt = {});
 
 /// Serial level-synchronous queue BFS (the iterative CPU reference).
 std::vector<std::uint32_t> bfs_serial_iterative(const graph::Csr& g,

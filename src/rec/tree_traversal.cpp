@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "src/rec/recursion.h"
 #include "src/simt/aligned.h"
 #include "src/simt/profiler.h"
 
@@ -36,6 +38,14 @@ std::string_view name(TreeAlgo a) {
   return "?";
 }
 
+void RecOptions::validate() const {
+  if (streams_per_block < 1) {
+    throw std::invalid_argument(
+        "RecOptions: streams_per_block must be >= 1 (got " +
+        std::to_string(streams_per_block) + ")");
+  }
+}
+
 namespace {
 
 template <class Enum, class Range>
@@ -62,28 +72,6 @@ TreeAlgo parse_tree_algo(std::string_view s) {
   return parse_enum<TreeAlgo>(s, kAllTreeAlgos, "tree algorithm");
 }
 
-void RecOptions::validate() const {
-  const auto fail = [](const std::string& what) {
-    throw std::invalid_argument("RecOptions: " + what);
-  };
-  if (flat_block_size < 1) {
-    fail("flat_block_size must be positive (got " +
-         std::to_string(flat_block_size) + ")");
-  }
-  if (rec_block_size < 1) {
-    fail("rec_block_size must be positive (got " +
-         std::to_string(rec_block_size) + ")");
-  }
-  if (streams_per_block < 1) {
-    fail("streams_per_block must be >= 1 (got " +
-         std::to_string(streams_per_block) + ")");
-  }
-  if (max_grid_blocks < 1) {
-    fail("max_grid_blocks must be positive (got " +
-         std::to_string(max_grid_blocks) + ")");
-  }
-}
-
 namespace {
 
 /// Reduction semantics of the two traversals, shared by every template.
@@ -95,13 +83,10 @@ struct TraversalOps {
     if (algo == TreeAlgo::kDescendants) return 1 + nc;
     return nc > 0 ? 2 : 1;
   }
-  /// Flat kernel: a node at distance `dist` below ancestor `cell`.
-  void flat_update(LaneCtx& t, std::uint32_t* cell, std::uint32_t dist) const {
-    if (algo == TreeAlgo::kDescendants) {
-      t.atomic_add(cell, 1u);
-    } else {
-      t.atomic_max(cell, dist + 1);
-    }
+  /// Fold a finished child value into its parent's running value.
+  std::uint32_t fold(std::uint32_t acc, std::uint32_t child_value) const {
+    return algo == TreeAlgo::kDescendants ? acc + child_value
+                                          : std::max(acc, child_value + 1);
   }
   /// Recursive kernels: fold a finished child value into its parent.
   void combine(LaneCtx& t, std::uint32_t* parent,
@@ -112,19 +97,12 @@ struct TraversalOps {
       t.atomic_max(parent, child_value + 1);
     }
   }
+  /// Flat kernel: a node at distance `dist` below ancestor `cell` counts
+  /// once toward its size and bounds its height.
+  void flat_update(LaneCtx& t, std::uint32_t* cell, std::uint32_t dist) const {
+    combine(t, cell, algo == TreeAlgo::kDescendants ? 1u : dist);
+  }
 };
-
-struct RecCtx {
-  const Tree* tree;
-  std::uint32_t* values;
-  TraversalOps ops;
-  RecOptions opt;
-  std::string base_name;
-};
-
-bool is_internal(const Tree& t, std::uint32_t v) {
-  return t.num_children(v) > 0;
-}
 
 /// Charge the loads a kernel performs to test whether `v` has children.
 bool charged_is_internal(LaneCtx& t, const Tree& tr, std::uint32_t v) {
@@ -133,21 +111,20 @@ bool charged_is_internal(LaneCtx& t, const Tree& tr, std::uint32_t v) {
   return end > off;
 }
 
-/// Degraded path shared by rec-naive/rec-hier: when a child launch is
-/// refused (pool/depth/heap exhaustion or a persistent injected fault), the
-/// refusing lane traverses the subtree iteratively — the same explicit
-/// post-order stack autoropes uses — so every node under `root` still ends
-/// with its final value and the parent-side combine stays valid.
-void iterative_subtree_fallback(LaneCtx& t, const Tree& tr,
-                                const TraversalOps& ops, std::uint32_t* values,
-                                std::uint32_t root) {
+/// Explicit-stack post-order DFS of the subtree under `root` by one lane,
+/// storing each node's final value as it is popped — no atomics. It is
+/// autoropes' per-thread traversal and the launch-free path of rec-naive and
+/// rec-hier when a child launch is refused (pool/depth/heap exhaustion or a
+/// persistent injected fault): every node under `root` still ends with its
+/// final value, so the parent-side combine stays valid.
+void post_order(LaneCtx& t, const Tree& tr, const TraversalOps& ops,
+                std::uint32_t* values, std::uint32_t root) {
   struct Frame {
     std::uint32_t node;
     std::uint32_t next_child;  // index into child_offsets range
     std::uint32_t acc;
   };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{root, 0, 1});
+  std::vector<Frame> stack{Frame{root, 0, 1}};
   while (!stack.empty()) {
     Frame& f = stack.back();
     const std::uint32_t off = t.ld(&tr.child_offsets[f.node]);
@@ -162,40 +139,19 @@ void iterative_subtree_fallback(LaneCtx& t, const Tree& tr,
       stack.pop_back();
       if (!stack.empty()) {
         t.compute(1);
-        stack.back().acc = ops.algo == TreeAlgo::kDescendants
-                               ? stack.back().acc + done.acc
-                               : std::max(stack.back().acc, done.acc + 1);
+        stack.back().acc = ops.fold(stack.back().acc, done.acc);
       }
     }
   }
 }
 
-void launch_init_kernel(Device& dev, std::uint32_t* values, std::uint32_t n,
-                        const std::string& base, const RecOptions& opt) {
-  LaunchConfig cfg;
-  cfg.block_threads = opt.flat_block_size;
-  cfg.grid_blocks = Device::blocks_for(n, opt.flat_block_size,
-                                       opt.max_grid_blocks);
-  cfg.name = base + "/init";
-  dev.launch_threads(cfg, [values, n](LaneCtx& t) {
-    for (std::int64_t i = t.global_idx(); i < n; i += t.grid_threads()) {
-      t.st(&values[i], 1u);
-    }
-  });
-}
-
 // --- Flat template (Figure 3(c)) --------------------------------------------
 
 void run_flat(Device& dev, const Tree& tr, std::uint32_t* values,
-              const TraversalOps& ops, const RecOptions& opt,
-              const std::string& base) {
+              const TraversalOps& ops, const std::string& base) {
   const std::uint32_t n = tr.num_nodes();
-  LaunchConfig cfg;
-  cfg.block_threads = opt.flat_block_size;
-  cfg.grid_blocks = Device::blocks_for(n, opt.flat_block_size,
-                                       opt.max_grid_blocks);
-  cfg.name = base + "/flat";
-  dev.launch_threads(cfg, [&tr, values, ops, n](LaneCtx& t) {
+  dev.launch_threads(thread_mapped(n, base + "/flat"), [&tr, values, ops,
+                                                         n](LaneCtx& t) {
     for (std::int64_t v = t.global_idx(); v < n; v += t.grid_threads()) {
       // Walk to the root, updating every ancestor (the atomic pressure the
       // paper's Figs. 7/8 profiling columns count).
@@ -210,46 +166,31 @@ void run_flat(Device& dev, const Tree& tr, std::uint32_t* values,
   });
 }
 
-// --- Naive recursion (Figure 3(d)) -------------------------------------------
+// --- Naive and hierarchical recursion (Figure 3(d), 3(e)) --------------------
 
-Kernel make_naive_kernel(std::shared_ptr<const RecCtx> ctx, std::uint32_t node);
+/// One rec-naive or rec-hier traversal, and its hooks into the shared
+/// recursion (src/rec/recursion.h): expand every internal child with a
+/// synchronous launch, then combine the child's final value.
+struct RecCtx : RecShape {
+  static constexpr bool kAsync = false;
+  const Tree* tree;
+  std::uint32_t* values;
+  TraversalOps ops;
 
-Kernel make_naive_kernel(std::shared_ptr<const RecCtx> ctx,
-                         std::uint32_t node) {
-  return [ctx, node](BlockCtx& blk) {
-    const Tree& tr = *ctx->tree;
-    blk.each_thread([&](LaneCtx& t) {
-      const std::uint32_t off = t.ld(&tr.child_offsets[node]);
-      const std::uint32_t end = t.ld(&tr.child_offsets[node + 1]);
-      for (std::uint32_t j = off + static_cast<std::uint32_t>(t.thread_idx());
-           j < end; j += static_cast<std::uint32_t>(t.block_dim())) {
-        const std::uint32_t c = t.ld(&tr.children[j]);
-        if (charged_is_internal(t, tr, c)) {
-          // Thread-level recursion: a single-block child kernel per internal
-          // child; completed (synchronized) before the combine below.
-          LaunchConfig cc;
-          cc.grid_blocks = 1;
-          cc.block_threads = ctx->opt.rec_block_size;
-          cc.name = ctx->base_name + "/rec-naive";
-          const int slot =
-              static_cast<int>(j % static_cast<std::uint32_t>(
-                                       ctx->opt.streams_per_block)) -
-              1;
-          if (!t.launch_with_retry(cc, make_naive_kernel(ctx, c), slot)) {
-            t.note_degraded();
-            iterative_subtree_fallback(t, tr, ctx->ops, ctx->values, c);
-          }
-        }
-        const std::uint32_t cv = t.ld(&ctx->values[c]);
-        ctx->ops.combine(t, &ctx->values[node], cv);
-      }
-    });
-  };
-}
-
-// --- Hierarchical recursion (Figure 3(e)) ------------------------------------
-
-Kernel make_hier_kernel(std::shared_ptr<const RecCtx> ctx, std::uint32_t node);
+  std::optional<std::uint32_t> enter(LaneCtx&, std::uint32_t) const {
+    return 0;
+  }
+  bool expand(LaneCtx& t, std::uint32_t, std::uint32_t c) const {
+    return charged_is_internal(t, *tree, c);
+  }
+  void fallback(LaneCtx& t, std::uint32_t c) const {
+    post_order(t, *tree, ops, values, c);
+  }
+  void after(LaneCtx& t, std::uint32_t node, std::uint32_t c) const {
+    const std::uint32_t cv = t.ld(&values[c]);
+    ops.combine(t, &values[node], cv);
+  }
+};
 
 Kernel make_hier_kernel(std::shared_ptr<const RecCtx> ctx,
                         std::uint32_t node) {
@@ -281,23 +222,16 @@ Kernel make_hier_kernel(std::shared_ptr<const RecCtx> ctx,
       if (t.sh_ld(&deep[0]) != 0) {
         // Some grandchild is internal: recurse on the child. One nested
         // launch per block — the "fewer, larger grids" property.
-        LaunchConfig cc;
-        cc.grid_blocks = static_cast<int>(nc);
-        cc.block_threads = ctx->opt.rec_block_size;
-        cc.name = ctx->base_name + "/rec-hier";
-        const int slot =
-            blk.block_idx() % ctx->opt.streams_per_block == 0 ? -1 : 0;
-        if (!t.launch_with_retry(cc, make_hier_kernel(ctx, c), slot)) {
-          t.note_degraded();
-          iterative_subtree_fallback(t, tr, ctx->ops, ctx->values, c);
-        }
+        const int slot = blk.block_idx() % ctx->streams == 0 ? -1 : 0;
+        launch_or_fallback(t, *ctx, c,
+                           rec_grid(ctx->name, static_cast<int>(nc)),
+                           make_hier_kernel(ctx, c), slot);
       } else if (nc > 0) {
         // All grandchildren are leaves: the block computed the child's value
         // without recursion (thread-parallel pass above).
         t.st(&ctx->values[c], ctx->ops.two_level(nc));
       }
-      const std::uint32_t cv = t.ld(&ctx->values[c]);
-      ctx->ops.combine(t, &ctx->values[node], cv);
+      ctx->after(t, node, c);
     });
   };
 }
@@ -316,8 +250,7 @@ std::uint32_t choose_split_level(const Tree& tr, int want_threads) {
 }
 
 void run_autoropes(Device& dev, const Tree& tr, std::uint32_t* values,
-                   const TraversalOps& ops, const RecOptions& opt,
-                   const std::string& base) {
+                   const TraversalOps& ops, const std::string& base) {
   const std::uint32_t split =
       choose_split_level(tr, 2 * dev.spec().num_sms * dev.spec().cores_per_sm);
   const auto [first, last] = tr.level_range(split);
@@ -329,49 +262,16 @@ void run_autoropes(Device& dev, const Tree& tr, std::uint32_t* values,
     dev.prof_counter(base + "/subtree_roots", static_cast<double>(roots));
   }
 
-  // Kernel 1: one thread per split-level subtree; explicit-stack post-order
-  // DFS writing each node's final value on pop — no atomics anywhere.
+  // Kernel 1: one thread per split-level subtree, each a post-order DFS.
   if (roots > 0 && split > 0) {
-    LaunchConfig cfg;
-    cfg.block_threads = opt.flat_block_size;
-    cfg.grid_blocks = Device::blocks_for(roots, opt.flat_block_size,
-                                         opt.max_grid_blocks);
-    cfg.name = base + "/subtrees";
-    dev.launch_threads(cfg, [&tr, values, ops, first, roots](LaneCtx& t) {
-      struct Frame {
-        std::uint32_t node;
-        std::uint32_t next_child;  // index into child_offsets range
-        std::uint32_t acc;
-      };
-      std::vector<Frame> stack;  // thread-local rope stack
-      for (std::int64_t r = t.global_idx(); r < roots;
-           r += t.grid_threads()) {
-        stack.clear();
-        stack.push_back(Frame{first + static_cast<std::uint32_t>(r), 0, 1});
-        while (!stack.empty()) {
-          Frame& f = stack.back();
-          const std::uint32_t off = t.ld(&tr.child_offsets[f.node]);
-          const std::uint32_t end = t.ld(&tr.child_offsets[f.node + 1]);
-          if (off + f.next_child < end) {
-            const std::uint32_t c = t.ld(&tr.children[off + f.next_child]);
-            ++f.next_child;
-            stack.push_back(Frame{c, 0, 1});
-          } else {
-            // Post-order: fold the finished value into the parent frame.
-            const Frame done = f;
-            t.st(&values[done.node], done.acc);
-            stack.pop_back();
-            if (!stack.empty()) {
-              t.compute(1);
-              stack.back().acc =
-                  ops.algo == TreeAlgo::kDescendants
-                      ? stack.back().acc + done.acc
-                      : std::max(stack.back().acc, done.acc + 1);
-            }
-          }
-        }
-      }
-    });
+    dev.launch_threads(thread_mapped(roots, base + "/subtrees"),
+                       [&tr, values, ops, first, roots](LaneCtx& t) {
+                         for (std::int64_t r = t.global_idx(); r < roots;
+                              r += t.grid_threads()) {
+                           post_order(t, tr, ops, values,
+                                      first + static_cast<std::uint32_t>(r));
+                         }
+                       });
   }
 
   // Kernel 2..: fold the crown above the split level, one (tiny) kernel per
@@ -380,12 +280,9 @@ void run_autoropes(Device& dev, const Tree& tr, std::uint32_t* values,
     const auto [cf, cl] = tr.level_range(l);
     const std::uint32_t count = cl - cf;
     if (count == 0) continue;
-    LaunchConfig cfg;
-    cfg.block_threads = opt.flat_block_size;
-    cfg.grid_blocks = Device::blocks_for(count, opt.flat_block_size,
-                                         opt.max_grid_blocks);
-    cfg.name = base + "/crown";
-    dev.launch_threads(cfg, [&tr, values, ops, cf, count](LaneCtx& t) {
+    dev.launch_threads(thread_mapped(count, base + "/crown"), [&tr, values, ops,
+                                                               cf, count](
+                                                                  LaneCtx& t) {
       for (std::int64_t k = t.global_idx(); k < count;
            k += t.grid_threads()) {
         const std::uint32_t v = cf + static_cast<std::uint32_t>(k);
@@ -396,8 +293,7 @@ void run_autoropes(Device& dev, const Tree& tr, std::uint32_t* values,
           const std::uint32_t c = t.ld(&tr.children[e]);
           const std::uint32_t cv = t.ld(&values[c]);
           t.compute(1);
-          acc = ops.algo == TreeAlgo::kDescendants ? acc + cv
-                                                   : std::max(acc, cv + 1);
+          acc = ops.fold(acc, cv);
         }
         t.st(&values[v], acc);
       }
@@ -418,14 +314,13 @@ void run_autoropes(Device& dev, const Tree& tr, std::uint32_t* values,
 /// order means every child value is final when its parent's level runs, so
 /// combines need no accumulator staging.
 void run_cons(Device& dev, const Tree& tr, std::uint32_t* values,
-              const TraversalOps& ops, const RecOptions& opt,
-              const std::string& base) {
+              const TraversalOps& ops, const std::string& base) {
   LaunchConfig cfg;
   cfg.grid_blocks = 1;
   cfg.block_threads = 1;
   cfg.name = base + "/controller";
   const Tree* tp = &tr;
-  dev.launch_threads(cfg, [tp, values, ops, opt, base](LaneCtx& t) {
+  dev.launch_threads(cfg, [tp, values, ops, base](LaneCtx& t) {
     const Tree& tr = *tp;
     for (std::uint32_t l = tr.max_level(); l-- > 0;) {
       const auto [first, last] = tr.level_range(l);
@@ -453,12 +348,8 @@ void run_cons(Device& dev, const Tree& tr, std::uint32_t* values,
       if (count == 0) continue;
       t.st(&offsets[static_cast<std::size_t>(count)], total);
 
-      LaunchConfig cc;
-      cc.block_threads = opt.rec_block_size;
-      cc.grid_blocks =
-          Device::blocks_for(total, opt.rec_block_size, opt.max_grid_blocks);
+      LaunchConfig cc = thread_mapped(total, base + "/level", kRecBlockSize);
       cc.aggregated_descriptors = static_cast<int>(count);
-      cc.name = base + "/level";
       auto child = [tp, values, ops, items, offsets, count,
                     total](LaneCtx& c) {
         const Tree& tr = *tp;
@@ -523,48 +414,45 @@ std::vector<std::uint32_t> traverse(Device& dev, const Tree& tr,
   opt.validate();
   const std::uint32_t n = tr.num_nodes();
   std::vector<std::uint32_t> values(n, 0);
+  std::uint32_t* vp = values.data();
   const std::string base =
       std::string(name(algo)) + "/" + std::string(name(tmpl));
-  launch_init_kernel(dev, values.data(), n, base, opt);
+  dev.launch_threads(thread_mapped(n, base + "/init"), [vp, n](LaneCtx& t) {
+    for (std::int64_t i = t.global_idx(); i < n; i += t.grid_threads()) {
+      t.st(&vp[i], 1u);
+    }
+  });
 
   const TraversalOps ops{algo};
   switch (tmpl) {
     case RecTemplate::kFlat:
-      run_flat(dev, tr, values.data(), ops, opt, base);
+      run_flat(dev, tr, vp, ops, base);
       break;
-    case RecTemplate::kRecNaive: {
-      auto ctx = std::make_shared<RecCtx>(
-          RecCtx{&tr, values.data(), ops, opt, base});
-      if (is_internal(tr, 0)) {
-        LaunchConfig cfg;
-        cfg.grid_blocks = 1;
-        cfg.block_threads = opt.rec_block_size;
-        cfg.name = base + "/rec-naive";
-        dev.launch(cfg, make_naive_kernel(ctx, 0));
-      }
-      break;
-    }
+    case RecTemplate::kRecNaive:
     case RecTemplate::kRecHier: {
-      auto ctx = std::make_shared<RecCtx>(
-          RecCtx{&tr, values.data(), ops, opt, base});
       const std::uint32_t nc = tr.num_children(0);
-      if (nc > static_cast<std::uint32_t>(opt.max_grid_blocks)) {
+      const bool hier = tmpl == RecTemplate::kRecHier;
+      if (hier && nc > static_cast<std::uint32_t>(kMaxGridBlocks)) {
         throw std::invalid_argument("root outdegree exceeds max grid size");
       }
-      if (nc > 0) {
-        LaunchConfig cfg;
-        cfg.grid_blocks = static_cast<int>(nc);
-        cfg.block_threads = opt.rec_block_size;
-        cfg.name = base + "/rec-hier";
-        dev.launch(cfg, make_hier_kernel(ctx, 0));
+      if (nc == 0) break;
+      const auto ctx = std::make_shared<const RecCtx>(
+          RecCtx{{tr.child_offsets.data(), tr.children.data(),
+                  opt.streams_per_block, base + "/" + std::string(name(tmpl))},
+                 &tr, vp, ops});
+      if (hier) {
+        dev.launch(rec_grid(ctx->name, static_cast<int>(nc)),
+                   make_hier_kernel(ctx, 0));
+      } else {
+        dev.launch(rec_grid(ctx->name), make_rec_naive_kernel(ctx, 0));
       }
       break;
     }
     case RecTemplate::kAutoropes:
-      run_autoropes(dev, tr, values.data(), ops, opt, base);
+      run_autoropes(dev, tr, vp, ops, base);
       break;
     case RecTemplate::kRecCons:
-      run_cons(dev, tr, values.data(), ops, opt, base);
+      run_cons(dev, tr, vp, ops, base);
       break;
   }
   return values;
@@ -574,14 +462,10 @@ std::vector<std::uint32_t> traverse(Device& dev, const Tree& tr,
 
 TreeRunResult run_tree_traversal(Device& dev, const Tree& tr,
                                  const TreeRun& run) {
-  TreeRunResult res;
-  if (run.policy.has_value()) {
-    simt::Session session = dev.session(*run.policy);
-    res.values = traverse(dev, tr, run.algo, run.tmpl, run.opt);
-    res.report = session.report();
-    return res;
-  }
-  res.values = traverse(dev, tr, run.algo, run.tmpl, run.opt);
+  std::optional<simt::Session> session;
+  if (run.policy.has_value()) session.emplace(dev.session(*run.policy));
+  TreeRunResult res{traverse(dev, tr, run.algo, run.tmpl, run.opt), {}};
+  if (session.has_value()) res.report = session->report();
   return res;
 }
 
@@ -590,7 +474,7 @@ std::vector<std::uint32_t> tree_traversal_serial_recursive(
   tr.validate();
   const std::uint32_t n = tr.num_nodes();
   std::vector<std::uint32_t> values(n, 1);
-  const bool desc = algo == TreeAlgo::kDescendants;
+  const TraversalOps ops{algo};
 
   // Figure 3(a): plain post-order recursion.
   auto rec = [&](auto&& self, std::uint32_t v) -> std::uint32_t {
@@ -603,7 +487,7 @@ std::vector<std::uint32_t> tree_traversal_serial_recursive(
           timer != nullptr ? timer->ld(&tr.children[j]) : tr.children[j];
       const std::uint32_t cv = self(self, c);
       if (timer != nullptr) timer->compute(1);
-      val = desc ? val + cv : std::max(val, cv + 1);
+      val = ops.fold(val, cv);
     }
     if (timer != nullptr) {
       timer->st(&values[v], val);
@@ -621,7 +505,7 @@ std::vector<std::uint32_t> tree_traversal_serial_iterative(
   tr.validate();
   const std::uint32_t n = tr.num_nodes();
   std::vector<std::uint32_t> values(n, 1);
-  const bool desc = algo == TreeAlgo::kDescendants;
+  const TraversalOps ops{algo};
 
   // Figure 3(b): recursion eliminated. Nodes are stored in BFS order, so a
   // reverse sweep sees every child before its parent.
@@ -632,7 +516,7 @@ std::vector<std::uint32_t> tree_traversal_serial_iterative(
         timer != nullptr ? timer->ld(&values[v]) : values[v];
     const std::uint32_t pv =
         timer != nullptr ? timer->ld(&values[p]) : values[p];
-    const std::uint32_t nv = desc ? pv + vv : std::max(pv, vv + 1);
+    const std::uint32_t nv = ops.fold(pv, vv);
     if (timer != nullptr) {
       timer->compute(1);
       timer->st(&values[p], nv);

@@ -71,18 +71,16 @@ std::string_view name(TreeAlgo a);
 /// Inverse of `name`; throws std::invalid_argument listing valid names.
 TreeAlgo parse_tree_algo(std::string_view s);
 
-/// Tuning knobs for the recursive templates.
+/// The one tuning knob of the recursive templates, for trees and recursive
+/// BFS alike (block and grid sizes are fixed; see src/rec/recursion.h).
 struct RecOptions {
-  int flat_block_size = 192;  ///< Thread-mapped (flat) kernel block size.
-  int rec_block_size = 64;    ///< Block size of nested/recursive kernels.
   /// Streams used for nested launches from one block: 1 = default child
   /// stream only; 2 adds one extra stream per block (the paper's "stream"
   /// variants; more than 2 only added overhead in the paper).
   int streams_per_block = 1;
-  int max_grid_blocks = 65535;
 
-  /// Throws std::invalid_argument naming the offending field if any knob is
-  /// out of range. Called by run_tree_traversal before launching anything.
+  /// Throws std::invalid_argument if streams_per_block < 1. Called by
+  /// run_tree_traversal and bfs_recursive_gpu before launching anything.
   void validate() const;
 };
 

@@ -139,7 +139,7 @@ TEST_F(ModelShapes, ExtraStreamHelpsNaiveBfs) {
   const auto g = graph::generate_uniform_random(3000, 0, 32, 5);
   const auto run = [&](int streams) {
     simt::Device dev;
-    apps::BfsRecOptions opt;
+    rec::RecOptions opt;
     opt.streams_per_block = streams;
     apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive, opt);
     return dev.report().total_us;

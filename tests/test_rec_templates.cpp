@@ -230,7 +230,7 @@ TEST_P(BfsCorrectness, AllVariantsAgreeWithSerial) {
   dev.reset();
   EXPECT_EQ(apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecHier), expect);
   dev.reset();
-  apps::BfsRecOptions streams;
+  rec::RecOptions streams;
   streams.streams_per_block = 2;
   EXPECT_EQ(
       apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive, streams),

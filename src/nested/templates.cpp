@@ -523,8 +523,7 @@ void run_dpar_naive(Device& dev, const NestedLoopWorkload& w,
             child.grid_blocks = 1;
             child.block_threads = p.block_block_size;
             child.name = kname(w, LoopTemplate::kDparNaive, "child");
-            if (t.launch_with_retry(child,
-                                    make_single_iteration_kernel(w, i))) {
+            if (t.launch(child, make_single_iteration_kernel(w, i))) {
               continue;
             }
             // Launch refused (pool/depth/heap or persistent fault): degrade
@@ -554,8 +553,7 @@ void drain_block_mapped_child(LaneCtx& t, const NestedLoopWorkload& w,
   child.grid_blocks = static_cast<int>(c);
   child.block_threads = p.block_block_size;
   child.name = kname(w, tmpl, "child");
-  if (t.launch_with_retry(child,
-                          make_block_mapped_kernel(w, std::move(list)))) {
+  if (t.launch(child, make_block_mapped_kernel(w, std::move(list)))) {
     return;
   }
   // Child grid refused: drain the delayed buffer inline instead — this lane
@@ -679,7 +677,7 @@ void drain_consolidated_child(LaneCtx& t, const NestedLoopWorkload& w,
 
   bool launched = false;
   if (c >= p.cons_min_descriptors && total > 0) {
-    launched = static_cast<bool>(t.launch_threads_with_retry(
+    launched = static_cast<bool>(t.launch_threads(
         consolidated_cfg(w, tmpl, b, p), make_consolidated_kernel(w, b)));
     // Aggregated launch refused: drain the whole scope inline — slow but
     // correct, mirroring dpar-opt's degradation path.
@@ -806,7 +804,7 @@ void run_cons_grid(Device& dev, const NestedLoopWorkload& w,
       t.charge_load(b.offsets.get(), static_cast<std::uint32_t>(
                                          (b.count + 1) * sizeof(std::int64_t)));
       t.compute(static_cast<std::uint32_t>(b.count));
-      if (t.launch_threads_with_retry(
+      if (t.launch_threads(
               consolidated_cfg(w, LoopTemplate::kConsGrid, b, p),
               make_consolidated_kernel(w, b))) {
         t.sh_st(&ok[0], 1);

@@ -60,8 +60,8 @@ void launch_or_fallback(simt::LaneCtx& t, const W& w, std::uint32_t target,
                         const simt::LaunchConfig& cc, simt::Kernel k,
                         int slot) {
   const simt::LaunchResult r = W::kAsync
-                                   ? t.try_launch_async(cc, std::move(k), slot)
-                                   : t.launch_with_retry(cc, k, slot);
+                                   ? t.launch_async(cc, std::move(k), slot)
+                                   : t.launch(cc, std::move(k), slot);
   if (!r) {
     t.note_degraded();
     w.fallback(t, target);

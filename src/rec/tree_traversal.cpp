@@ -386,7 +386,7 @@ void run_cons(Device& dev, const Tree& tr, std::uint32_t* values,
           }
         }
       };
-      if (!t.launch_threads_with_retry(cc, child)) {
+      if (!t.launch_threads(cc, child)) {
         // Aggregated level launch refused: the controller folds the level
         // serially — slow but correct, and children are already final.
         t.note_degraded();

@@ -102,16 +102,6 @@ void Device::launch_threads(const LaunchConfig& cfg, ThreadKernel k,
   launch(cfg, as_kernel(std::move(k)), stream);
 }
 
-LaunchResult Device::try_launch(const LaunchConfig& cfg, Kernel k,
-                                StreamHandle stream) {
-  return recorder_.launch_host(cfg, k, stream);
-}
-
-LaunchResult Device::try_launch_threads(const LaunchConfig& cfg, ThreadKernel k,
-                                        StreamHandle stream) {
-  return recorder_.launch_host(cfg, as_kernel(std::move(k)), stream);
-}
-
 void Device::reset() { recorder_.reset(); }
 
 void Device::prof_counter(std::string_view track, double value) {

@@ -83,12 +83,13 @@ struct RunReport {
 
 /// The simulated GPU: the substrate every parallelization template runs on.
 ///
-/// Usage mirrors a minimal CUDA host API, wrapped in an RAII session:
+/// Usage mirrors a minimal CUDA host API; an RAII Session bounds one
+/// recording:
 ///   Device dev;                                  // K20-like device
 ///   {
 ///     Session s = dev.session();                 // fresh recording
-///     s.launch(cfg, kernel);                     // eager functional execution
-///     s.launch_threads(cfg, [&](LaneCtx& t) {...});
+///     dev.launch(cfg, kernel);                   // eager functional execution
+///     dev.launch_threads(cfg, [&](LaneCtx& t) {...});
 ///     RunReport r = s.report();                  // timing pass
 ///   }                                            // recording discarded
 ///
@@ -97,7 +98,10 @@ struct RunReport {
 /// convergence); the performance model replays the recorded session when
 /// `report()` is called.
 ///
-/// The legacy `launch()/report()/reset()` surface remains for code that
+/// Host launches throw SimtException when refused, so a host-site fault
+/// fails the whole run (the serving layer catches it to fail one attempt);
+/// device-side launches (LaneCtx) return a LaunchResult instead, so kernels
+/// can degrade. The `report()/reset()` surface remains for code that
 /// manages session boundaries by hand; `session()` is the preferred idiom.
 ///
 /// Host execution engine: an ExecPolicy (constructor argument, per-session
@@ -130,14 +134,6 @@ class Device {
   void launch_threads(const LaunchConfig& cfg, ThreadKernel k,
                       StreamHandle stream = {});
 
-  /// Non-throwing launch forms: return the refusal instead of throwing, so
-  /// callers can retry or degrade. On success the result holds the launch
-  /// graph node id.
-  LaunchResult try_launch(const LaunchConfig& cfg, Kernel k,
-                          StreamHandle stream = {});
-  LaunchResult try_launch_threads(const LaunchConfig& cfg, ThreadKernel k,
-                                  StreamHandle stream = {});
-
   /// Configure the transient-fault injector programmatically (overrides the
   /// `NESTPAR_FAULTS` environment config installed at construction).
   void set_fault_config(const FaultConfig& cfg) {
@@ -146,10 +142,6 @@ class Device {
   const FaultConfig& fault_config() const {
     return recorder_.fault_injector().config();
   }
-
-  /// Host-side synchronization point. Functionally a no-op (execution is
-  /// eager); kept so ported host code reads like its CUDA original.
-  void synchronize() {}
 
   /// cudaEventRecord / cudaStreamWaitEvent analogues: cross-stream ordering
   /// for the timing model (functional execution is eager and already
@@ -220,9 +212,9 @@ class Device {
 /// RAII recording session on a Device. Construction starts a fresh
 /// recording (optionally under a different ExecPolicy); destruction discards
 /// it and restores the device's policy — replacing the manual
-/// `reset() ... report() ... reset()` dance. Launch/event calls forward to
-/// the device, so a Session can be passed anywhere a recording target is
-/// needed while the borrowed Device still runs the kernels.
+/// `reset() ... report() ... reset()` dance. Kernels are launched through
+/// the borrowed Device (`device()`); the session only bounds the recording
+/// and times it.
 class Session {
  public:
   Session(Session&& other) noexcept;
@@ -232,45 +224,11 @@ class Session {
   ~Session();
 
   Device& device() const { return *dev_; }
-  const ExecPolicy& policy() const { return dev_->exec_policy(); }
-
-  void launch(const LaunchConfig& cfg, Kernel k, StreamHandle stream = {}) {
-    dev_->launch(cfg, std::move(k), stream);
-  }
-  void launch_threads(const LaunchConfig& cfg, ThreadKernel k,
-                      StreamHandle stream = {}) {
-    dev_->launch_threads(cfg, std::move(k), stream);
-  }
-  LaunchResult try_launch(const LaunchConfig& cfg, Kernel k,
-                          StreamHandle stream = {}) {
-    return dev_->try_launch(cfg, std::move(k), stream);
-  }
-  LaunchResult try_launch_threads(const LaunchConfig& cfg, ThreadKernel k,
-                                  StreamHandle stream = {}) {
-    return dev_->try_launch_threads(cfg, std::move(k), stream);
-  }
-  EventHandle record_event(StreamHandle stream = {}) {
-    return dev_->record_event(stream);
-  }
-  void stream_wait(StreamHandle stream, EventHandle event) {
-    dev_->stream_wait(stream, event);
-  }
-  void synchronize() { dev_->synchronize(); }
 
   /// Serving-layer provenance for everything launched after this call (the
   /// fresh session starts with no context).
   void set_trace_context(const TraceContext& ctx) {
     dev_->set_trace_context(ctx);
-  }
-
-  void prof_counter(std::string_view track, double value) {
-    dev_->prof_counter(track, value);
-  }
-  void prof_value(std::string_view track, double value) {
-    dev_->prof_value(track, value);
-  }
-  void prof_instant(std::string_view name, std::string_view cat) {
-    dev_->prof_instant(name, cat);
   }
 
   /// Timing pass over everything recorded in this session so far. Can be

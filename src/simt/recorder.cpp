@@ -212,7 +212,7 @@ class EngineEnv final : public detail::BlockEnv {
     return injector_ != nullptr ? injector_->config() : kDefault;
   }
 
-  detail::LaunchOutcome launch_child(const LaunchConfig& cfg, Kernel k,
+  detail::LaunchOutcome launch_child(const LaunchConfig& cfg, Kernel& k,
                                      int parent_block, int extra_stream_slot,
                                      bool deferred) override {
     validate_config(*spec_, cfg);
@@ -311,21 +311,10 @@ LaneCtx::LaneCtx(BlockCtx* blk, WarpTrace* trace, int thread_idx)
       block_dim_(blk->block_dim_),
       grid_dim_(blk->grid_dim_) {}
 
-namespace {
-
-[[noreturn]] void throw_refused(const char* what, const LaunchConfig& cfg,
-                                SimtError err) {
-  throw SimtException(err, std::string(what) + " '" + cfg.name +
-                               "' refused: " + std::string(to_string(err)));
-}
-
-}  // namespace
-
-LaunchResult LaneCtx::try_launch(const LaunchConfig& cfg, Kernel k,
-                                 int extra_stream_slot) {
-  const detail::LaunchOutcome out = blk_->env_->launch_child(
-      cfg, std::move(k), blk_->block_idx_, extra_stream_slot,
-      /*deferred=*/false);
+LaunchResult LaneCtx::attempt(const LaunchConfig& cfg, Kernel& k, int slot,
+                              bool deferred) {
+  const detail::LaunchOutcome out =
+      blk_->env_->launch_child(cfg, k, blk_->block_idx_, slot, deferred);
   if (out.error != SimtError::kOk) {
     trace_->push(OpKind::kLaunchFail, 1, 0, 0);
     return LaunchResult{kInvalidLaunchNode, out.error};
@@ -334,79 +323,32 @@ LaunchResult LaneCtx::try_launch(const LaunchConfig& cfg, Kernel k,
   return LaunchResult{out.local_id, SimtError::kOk};
 }
 
-LaunchResult LaneCtx::try_launch_async(const LaunchConfig& cfg, Kernel k,
-                                       int extra_stream_slot) {
-  const detail::LaunchOutcome out = blk_->env_->launch_child(
-      cfg, std::move(k), blk_->block_idx_, extra_stream_slot,
-      /*deferred=*/true);
-  if (out.error != SimtError::kOk) {
-    trace_->push(OpKind::kLaunchFail, 1, 0, 0);
-    return LaunchResult{kInvalidLaunchNode, out.error};
-  }
-  trace_->push_addr(OpKind::kLaunch, out.local_id);
-  return LaunchResult{out.local_id, SimtError::kOk};
-}
-
-LaunchResult LaneCtx::try_launch_threads(const LaunchConfig& cfg,
-                                         ThreadKernel k,
-                                         int extra_stream_slot) {
-  return try_launch(cfg, as_kernel(std::move(k)), extra_stream_slot);
-}
-
-LaunchResult LaneCtx::launch_with_retry(const LaunchConfig& cfg,
-                                        const Kernel& k,
-                                        int extra_stream_slot) {
-  LaunchResult r = try_launch(cfg, k, extra_stream_slot);
+LaunchResult LaneCtx::launch(const LaunchConfig& cfg, Kernel k, int slot) {
+  LaunchResult r = attempt(cfg, k, slot, /*deferred=*/false);
   const FaultConfig& fc = blk_->env_->fault_config();
   double backoff = fc.backoff_base_cycles;
-  for (int attempt = 0;
-       attempt < fc.max_retries && !r.ok() && is_transient(r.error);
-       ++attempt) {
+  for (int retry = 0;
+       retry < fc.max_retries && !r.ok() && is_transient(r.error); ++retry) {
     stall(static_cast<std::uint32_t>(backoff));
     blk_->env_->metrics().robustness.retries += 1;
     backoff *= 2.0;
-    r = try_launch(cfg, k, extra_stream_slot);
+    r = attempt(cfg, k, slot, /*deferred=*/false);
   }
   return r;
 }
 
-LaunchResult LaneCtx::launch_threads_with_retry(const LaunchConfig& cfg,
-                                                ThreadKernel k,
-                                                int extra_stream_slot) {
-  return launch_with_retry(cfg, as_kernel(std::move(k)), extra_stream_slot);
+LaunchResult LaneCtx::launch_threads(const LaunchConfig& cfg, ThreadKernel k,
+                                     int slot) {
+  return launch(cfg, as_kernel(std::move(k)), slot);
+}
+
+LaunchResult LaneCtx::launch_async(const LaunchConfig& cfg, Kernel k,
+                                   int slot) {
+  return attempt(cfg, k, slot, /*deferred=*/true);
 }
 
 void LaneCtx::note_degraded() {
   blk_->env_->metrics().robustness.degraded += 1;
-}
-
-void LaneCtx::launch(const LaunchConfig& cfg, Kernel k) {
-  launch(cfg, std::move(k), -1);
-}
-
-void LaneCtx::launch(const LaunchConfig& cfg, Kernel k, int extra_stream_slot) {
-  const LaunchResult r = try_launch(cfg, std::move(k), extra_stream_slot);
-  if (!r.ok()) throw_refused("device launch", cfg, r.error);
-}
-
-void LaneCtx::launch_async(const LaunchConfig& cfg, Kernel k,
-                           int extra_stream_slot) {
-  const LaunchResult r = try_launch_async(cfg, std::move(k), extra_stream_slot);
-  if (!r.ok()) throw_refused("device launch", cfg, r.error);
-}
-
-void LaneCtx::launch_threads(const LaunchConfig& cfg, ThreadKernel k) {
-  launch(cfg, as_kernel(std::move(k)), -1);
-}
-
-void LaneCtx::launch_threads(const LaunchConfig& cfg, ThreadKernel k,
-                             int extra_stream_slot) {
-  launch(cfg, as_kernel(std::move(k)), extra_stream_slot);
-}
-
-void LaneCtx::launch_threads_async(const LaunchConfig& cfg, ThreadKernel k,
-                                   int extra_stream_slot) {
-  launch_async(cfg, as_kernel(std::move(k)), extra_stream_slot);
 }
 
 // ---------------------------------------------------------------------------

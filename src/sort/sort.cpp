@@ -216,10 +216,10 @@ void stack_quicksort(LaneCtx& t, int* d, std::int64_t lo, std::int64_t hi,
 
 /// Nested launch of `k`, which sorts d[lo..hi]; if the device refuses it
 /// (after retries), the launching lane sorts the range in place instead.
-void launch_or_sort(LaneCtx& t, const LaunchConfig& cc, const Kernel& k,
-                    int slot, int* d, std::int64_t lo, std::int64_t hi,
+void launch_or_sort(LaneCtx& t, const LaunchConfig& cc, Kernel k, int slot,
+                    int* d, std::int64_t lo, std::int64_t hi,
                     int leaf_threshold) {
-  if (t.launch_with_retry(cc, k, slot)) return;
+  if (t.launch(cc, std::move(k), slot)) return;
   t.note_degraded();
   stack_quicksort(t, d, lo, hi, leaf_threshold);
 }

@@ -129,8 +129,8 @@ TEST(AttributeCycles, DeviceChildGridsInheritParentContext) {
   ctx.members.push_back(simt::TraceMember{21, 1, 1.0});
   dev.set_trace_context(ctx);
   dev.launch_threads(cfg(1, 1, "parent"), [](simt::LaneCtx& t) {
-    t.launch_threads(cfg(1, 32, "child"),
-                     [](simt::LaneCtx& c) { c.compute(4000); });
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "child"),
+                                 [](simt::LaneCtx& c) { c.compute(4000); }));
   });
   simt::LaunchGraph graph = dev.graph();
   ASSERT_EQ(graph.nodes.size(), 2u);
@@ -161,8 +161,8 @@ TEST(AttributeCycles, PerLaunchOverrideBeatsAmbientAndPropagates) {
   over.trace.batch_id = 2;
   over.trace.members.push_back(simt::TraceMember{200, 5, 1.0});
   dev.launch_threads(over, [](simt::LaneCtx& t) {
-    t.launch_threads(cfg(1, 32, "override-child"),
-                     [](simt::LaneCtx& c) { c.compute(500); });
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "override-child"),
+                                 [](simt::LaneCtx& c) { c.compute(500); }));
   });
 
   const simt::LaunchGraph graph = dev.graph();

@@ -53,8 +53,8 @@ void mixed_workload(simt::Device& dev) {
   dev.launch_threads(cfg(1, 32, "parent"), [](simt::LaneCtx& t) {
     t.compute(2000);
     auto child = [](simt::LaneCtx& c) { c.compute(4000); };
-    t.launch_threads(cfg(2, 32, "child-a"), child);
-    t.launch_threads(cfg(1, 32, "child-b"), child);
+    EXPECT_TRUE(t.launch_threads(cfg(2, 32, "child-a"), child));
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "child-b"), child));
   }, simt::StreamHandle{1});
   // Imbalanced multi-block grid: block 0 does 4x the work of the others.
   dev.launch_threads(cfg(4, 64, "skewed"), [](simt::LaneCtx& t) {
@@ -99,8 +99,8 @@ TEST(SchedulerCausality, ChildIssueFollowsParentStart) {
   simt::Device dev;
   dev.launch_threads(cfg(1, 1, "parent"), [](simt::LaneCtx& t) {
     t.compute(5000);
-    t.launch_threads(cfg(1, 32, "child"),
-                     [](simt::LaneCtx& c) { c.compute(2000); });
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "child"),
+                                 [](simt::LaneCtx& c) { c.compute(2000); }));
   });
   const auto s = run_schedule(dev);
   ASSERT_EQ(s.graph.nodes.size(), 2u);
@@ -210,8 +210,8 @@ TEST(CritPath, DeviceChildrenAttributeLaunchCycles) {
   simt::Device dev;
   dev.launch_threads(cfg(1, 1, "parent"), [](simt::LaneCtx& t) {
     // Children dominate the tail, so the path walks a device-launch edge.
-    t.launch_threads(cfg(1, 32, "child"),
-                     [](simt::LaneCtx& c) { c.compute(50000); });
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "child"),
+                                 [](simt::LaneCtx& c) { c.compute(50000); }));
   });
   auto s = run_schedule(dev);
   const simt::CritPath cp = simt::analyze_critical_path(s.graph, s.sched);

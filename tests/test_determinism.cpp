@@ -419,14 +419,14 @@ simt::RunReport synthetic_session(simt::Device& dev,
       child.grid_blocks = 2;
       child.block_threads = 32;
       child.name = "child";
-      t.launch_threads(child, [&](simt::LaneCtx& c) {
+      EXPECT_TRUE(t.launch_threads(child, [&](simt::LaneCtx& c) {
         c.st(&data[static_cast<std::size_t>(c.global_idx()) % data.size()],
              1.0f);
         c.compute(5);
-      });
+      }));
       child.name = "child_async";
-      t.launch_threads_async(child,
-                             [](simt::LaneCtx& c) { c.compute(9); });
+      EXPECT_TRUE(t.launch_async(
+          child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(9); })));
     }
   });
   const simt::EventHandle ev = dev.record_event(simt::StreamHandle{1});

@@ -279,7 +279,7 @@ TEST(TraceExport, EmitsWellFormedEvents) {
     child.block_threads = 32;
     child.name = "beta\"quoted";
     if (t.thread_idx() == 0) {
-      t.launch(child, simt::as_kernel([](simt::LaneCtx&) {}));
+      EXPECT_TRUE(t.launch(child, simt::as_kernel([](simt::LaneCtx&) {})));
     }
   });
   std::ostringstream os;

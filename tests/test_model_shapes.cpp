@@ -193,7 +193,8 @@ TEST_F(ModelShapes, GmuSerializesMassiveFanout) {
     child.grid_blocks = 1;
     child.block_threads = 32;
     child.name = "child";
-    t.launch(child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(4); }));
+    EXPECT_TRUE(t.launch(
+        child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(4); })));
   });
   const double fanout = dev.report().total_us;
   dev.reset();
@@ -220,8 +221,8 @@ TEST_F(ModelShapes, PendingPoolOverflowEscalatesCost) {
       child.grid_blocks = 1;
       child.block_threads = 32;
       child.name = "child";
-      t.launch_async(child,
-                     simt::as_kernel([](simt::LaneCtx& c) { c.compute(1); }));
+      EXPECT_TRUE(t.launch_async(
+          child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(1); })));
     });
     return dev.report().total_us;
   };

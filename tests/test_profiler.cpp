@@ -102,9 +102,9 @@ TEST_F(ProfilerTest, DisabledProfilerObservesNothing) {
   {
     simt::Session s = dev.session();
     tiny_workload(dev);
-    s.prof_counter("tiny/track", 1.0);
-    s.prof_value("tiny/dist", 2.0);
-    s.prof_instant("tiny/event", "test");
+    dev.prof_counter("tiny/track", 1.0);
+    dev.prof_value("tiny/dist", 2.0);
+    dev.prof_instant("tiny/event", "test");
     (void)s.report();
   }
   const simt::ProfileSnapshot snap = simt::Profiler::instance().snapshot();
@@ -122,8 +122,8 @@ TEST_F(ProfilerTest, ReportFoldsKernelDistributions) {
   {
     simt::Session s = dev.session();
     tiny_workload(dev, /*grid_blocks=*/4);
-    s.prof_counter("tiny/track", 3.0);
-    s.prof_instant("tiny/flush", "queue");
+    dev.prof_counter("tiny/track", 3.0);
+    dev.prof_instant("tiny/flush", "queue");
     (void)s.report();
   }
   const simt::ProfileSnapshot snap = simt::Profiler::instance().snapshot();
@@ -221,9 +221,9 @@ TEST_F(ProfilerTest, ProfileJsonRoundTripIsByteStable) {
   {
     simt::Session s = dev.session();
     tiny_workload(dev);
-    s.prof_counter("tiny/track", 5.0);
-    s.prof_value("tiny/dist", 7.0);
-    s.prof_instant("tiny/flush", "queue");
+    dev.prof_counter("tiny/track", 5.0);
+    dev.prof_value("tiny/dist", 7.0);
+    dev.prof_instant("tiny/flush", "queue");
     (void)s.report();
   }
   bench::SuiteProfile profile;

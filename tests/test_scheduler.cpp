@@ -49,8 +49,8 @@ TEST(SchedulerStreams, DeviceLaunchesFromSameBlockSerialize) {
   simt::Device dev;
   dev.launch_threads(cfg(1, 1, "parent"), [](simt::LaneCtx& t) {
     auto child = [](simt::LaneCtx& c) { c.compute(4000); };
-    t.launch_threads(cfg(1, 32, "c1"), child);
-    t.launch_threads(cfg(1, 32, "c2"), child);
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "c1"), child));
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "c2"), child));
   });
   const auto s = run_schedule(dev);
   // Nodes 1 and 2 are the children, in the block's default child stream.
@@ -61,8 +61,8 @@ TEST(SchedulerStreams, ExtraStreamSlotAllowsChildOverlap) {
   simt::Device dev;
   dev.launch_threads(cfg(1, 1, "parent"), [](simt::LaneCtx& t) {
     auto child = [](simt::LaneCtx& c) { c.compute(40000); };
-    t.launch_threads(cfg(1, 32, "c1"), child, -1);
-    t.launch_threads(cfg(1, 32, "c2"), child, 0);  // extra stream slot
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "c1"), child, -1));
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "c2"), child, 0));  // extra slot
   });
   const auto s = run_schedule(dev);
   EXPECT_LT(s.node_start[2], s.node_end[1]);
@@ -114,7 +114,7 @@ TEST(SchedulerGmu, ActivationFollowsReadyOrder) {
   simt::Device dev;
   dev.launch_threads(cfg(1, 2, "parent"), [](simt::LaneCtx& t) {
     simt::LaunchConfig c = cfg(1, 32, "child");
-    t.launch_threads(c, [](simt::LaneCtx& l) { l.compute(1); });
+    EXPECT_TRUE(t.launch_threads(c, [](simt::LaneCtx& l) { l.compute(1); }));
   });
   const auto s = run_schedule(dev);
   // Two children (one per lane): the second activates one GMU service

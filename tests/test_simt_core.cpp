@@ -3,6 +3,7 @@
 // and the block/lane execution contexts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -173,15 +174,22 @@ TEST(Execution, InvalidLaunchConfigThrows) {
 
 TEST(Execution, NestedLaunchDepthLimitEnforced) {
   simt::Device dev(simt::DeviceSpec::k20(), 4);
+  // Nesting depth d launches a grid at depth d + 1; the limit refuses the
+  // one past depth 4, and the refusal comes back as a result.
+  int deepest = -1;
+  simt::SimtError refused = simt::SimtError::kOk;
   std::function<void(simt::LaneCtx&, int)> recurse =
       [&](simt::LaneCtx& t, int d) {
-        t.launch_threads(cfg(1, 1, "deep"),
-                         [&, d](simt::LaneCtx& t2) { recurse(t2, d + 1); });
+        deepest = std::max(deepest, d);
+        const simt::LaunchResult r = t.launch_threads(
+            cfg(1, 1, "deep"),
+            [&, d](simt::LaneCtx& t2) { recurse(t2, d + 1); });
+        if (!r) refused = r.error;
       };
-  EXPECT_THROW(dev.launch_threads(
-                   cfg(1, 1, "root"),
-                   [&](simt::LaneCtx& t) { recurse(t, 0); }),
-               std::runtime_error);
+  dev.launch_threads(cfg(1, 1, "root"),
+                     [&](simt::LaneCtx& t) { recurse(t, 0); });
+  EXPECT_EQ(deepest, 4);
+  EXPECT_EQ(refused, simt::SimtError::kDepthLimitExceeded);
 }
 
 TEST(Execution, NestedLaunchRunsEagerly) {
@@ -189,9 +197,9 @@ TEST(Execution, NestedLaunchRunsEagerly) {
   std::vector<int> child_data(256, 0);
   int parent_saw = -1;
   dev.launch_threads(cfg(1, 1, "parent"), [&](simt::LaneCtx& t) {
-    t.launch_threads(cfg(2, 128, "child"), [&](simt::LaneCtx& c) {
+    EXPECT_TRUE(t.launch_threads(cfg(2, 128, "child"), [&](simt::LaneCtx& c) {
       child_data[c.global_idx()] = 1;
-    });
+    }));
     // CDP-with-sync semantics: the child's writes are visible here.
     parent_saw = child_data[200];
   });
@@ -273,7 +281,7 @@ TEST(WarpMetrics, AtomicsCounted) {
 TEST(WarpMetrics, DeviceLaunchesCounted) {
   simt::Device dev;
   dev.launch_threads(cfg(1, 8, "parent"), [&](simt::LaneCtx& t) {
-    t.launch_threads(cfg(1, 32, "child"), [](simt::LaneCtx&) {});
+    EXPECT_TRUE(t.launch_threads(cfg(1, 32, "child"), [](simt::LaneCtx&) {}));
   });
   const auto rep = dev.report();
   EXPECT_EQ(rep.aggregate.device_launches, 8u);

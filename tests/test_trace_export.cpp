@@ -129,7 +129,7 @@ TEST_F(TraceExportTest, CounterAndInstantEventsAppearOnlyWhenProfiling) {
     simt::Device dev;
     simt::Session s = dev.session();
     launch_named(dev, "trace/a", 0, 2);
-    s.prof_counter("trace/queue", 5.0);
+    dev.prof_counter("trace/queue", 5.0);
     auto by_ph = count_phases(export_and_parse(dev));
     EXPECT_EQ(by_ph["X"], 1);
     EXPECT_EQ(by_ph.count("C"), 0u);
@@ -143,9 +143,9 @@ TEST_F(TraceExportTest, CounterAndInstantEventsAppearOnlyWhenProfiling) {
   {
     simt::Device dev;
     simt::Session s = dev.session();
-    s.prof_counter("trace/queue", 5.0);
+    dev.prof_counter("trace/queue", 5.0);
     launch_named(dev, "trace/a", 0, 2);
-    s.prof_instant("trace/flush", "queue");
+    dev.prof_instant("trace/flush", "queue");
     auto by_ph = count_phases(export_and_parse(dev));
     EXPECT_GE(by_ph["X"], 2);  // the grid slice + critical-path segments
     EXPECT_EQ(by_ph["C"], 1);
@@ -167,8 +167,8 @@ TEST_F(TraceExportTest, FlowEventsAndCritPathTrackOnlyWhenProfiling) {
       child.block_threads = 32;
       child.name = "trace/child";
       auto body = [](simt::LaneCtx& c) { c.compute(4000); };
-      t.launch_threads(child, body);
-      t.launch_threads(child, body);
+      EXPECT_TRUE(t.launch_threads(child, body));
+      EXPECT_TRUE(t.launch_threads(child, body));
     });
   };
 

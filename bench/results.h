@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/serve/server.h"
@@ -247,5 +248,12 @@ CompareReport compare_exact(const SuiteProfile& baseline,
 
 /// Merge `b` into `a` (summing match counts and concatenating deltas).
 void merge_compare_reports(CompareReport& a, const CompareReport& b);
+
+/// The byte half of the exact gate: `text`, a result file's contents, with
+/// every `"extra_volatile"` member and the comma before it removed.
+/// compare_results fails a file whose stripped bytes differ from its
+/// baseline's even when every parsed field matches, so a change in number
+/// formatting alone (`1000000` written as `1e+06`) fails too.
+std::string strip_volatile(std::string_view text);
 
 }  // namespace nestpar::bench

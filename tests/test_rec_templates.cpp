@@ -153,21 +153,33 @@ TEST(RecStructure, FlatDoesFarMoreAtomicsThanHier) {
 }
 
 TEST(RecStructure, StreamsOptionChangesStreamAssignment) {
+  struct Outcome {
+    std::vector<std::uint32_t> values;
+    std::uint32_t streams;
+    double cycles;
+  };
+  const auto run = [](const tree::Tree& tr, int streams_per_block) {
+    simt::Device dev;
+    rec::RecOptions opt;
+    opt.streams_per_block = streams_per_block;
+    rec::TreeRunResult r = rec::run_tree_traversal(
+        dev, tr,
+        {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecNaive,
+         .opt = opt});
+    return Outcome{std::move(r.values), dev.graph().num_streams,
+                   dev.report().total_cycles};
+  };
   const tree::Tree tr = tree::generate_tree({.depth = 3, .outdegree = 6}, 4);
-  rec::RecOptions one;
-  rec::RecOptions two;
-  two.streams_per_block = 2;
-  simt::Device dev;
-  const auto a = rec::run_tree_traversal(
-      dev, tr,
-      {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecNaive,
-       .opt = one});
-  dev.reset();
-  const auto b = rec::run_tree_traversal(
-      dev, tr,
-      {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecNaive,
-       .opt = two});
-  EXPECT_EQ(a.values, b.values);  // Streams change timing, never results.
+  const Outcome one = run(tr, 1);
+  const Outcome two = run(tr, 2);
+  EXPECT_EQ(one.values, two.values);  // Streams change timing, never results.
+  EXPECT_GT(two.streams, one.streams);
+  // On this tree two streams happen to give exactly the one-stream cycles;
+  // on the tree_streams smoke tree (outdegree 16) the extra stream lets
+  // sibling children overlap.
+  const tree::Tree wide = tree::generate_tree(
+      {.depth = 2, .outdegree = 16, .sparsity = 0}, 20150707);
+  EXPECT_LT(run(wide, 2).cycles, run(wide, 1).cycles);
 }
 
 TEST(RecStructure, RejectsBadOptions) {

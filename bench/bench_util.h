@@ -72,7 +72,7 @@ struct SuiteSpec {
   /// (explicit flags given with `--suite=NAME --smoke` override them). Must
   /// point at a static array, e.g.
   /// `constexpr const char* kSmoke[] = {"--scale=0.01"};`.
-  std::span<const char* const> smoke_flags;
+  std::span<const char* const> smoke_flags{};
   int (*run)(const Args& args, SuiteResult& out) = nullptr;
 };
 

@@ -1,38 +1,35 @@
-// Regression comparator for the BENCH_<suite>.json, SERVE_<suite>.json and
+// Regression gate for the BENCH_<suite>.json, SERVE_<suite>.json and
 // PROF_<suite>.json files the bench driver writes.
 //
 //   compare_results --baseline=PATH --current=PATH
 //
-// Each PATH is either one such file or a directory of them. BENCH records
-// are matched by (template, dataset, scale, params), SERVE records by
-// (scenario, params), and PROF records by kernel name, plus one record that
-// holds the rest of the profile document (see bench::compare_exact).
+// Each PATH is either one such file or a directory of them. Files pair by
+// file name (BENCH_x.json with BENCH_x.json); two single files pair with
+// each other whatever their names. Every file first goes through its
+// kind's parser, so a malformed file or a stale schema is an error, not a
+// difference.
 //
-// The gate is exact: every field outside `extra_volatile` must equal its
-// baseline, and so must the file's bytes once the `extra_volatile` members
-// are stripped from both sides. A delta in either direction, a record out
-// of order, a baseline record that disappeared, a byte that differs (a
-// number written in another format), or a baseline file with no current
-// counterpart is a regression. Modeled numbers are deterministic, so any
-// drift means the model or the schedule changed; a change that moves them
-// on purpose reads every delta in the report (baseline -> current,
-// relative %) and regenerates the baselines.
+// The gate is exact and has one check: a pair matches when its bytes are
+// equal once the `extra_volatile` members are stripped from both sides
+// (bench::first_difference). A changed field in either direction, a record
+// added, dropped or moved, a number written in another format, or a
+// baseline file with no current counterpart is a regression. Modeled
+// numbers are deterministic, so any drift means the model or the schedule
+// changed. The report names each differing file's first differing line;
+// a change that moves the model on purpose regenerates the baselines and
+// reads the whole change with `git diff --word-diff bench/baselines`.
 //
 // Exit codes: 0 no regressions, 1 regressions found, 2 usage or I/O error.
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
-#include <variant>
-#include <vector>
 
 #include "bench_util.h"
-#include "json.h"
 #include "results.h"
 #include "src/simt/log.h"
 
@@ -45,14 +42,7 @@ namespace slog = nestpar::simt::log;
 constexpr const char* kUsage =
     "usage: compare_results --baseline=PATH --current=PATH\n"
     "  PATH is a BENCH_/SERVE_/PROF_<suite>.json file or a directory of them;\n"
-    "  every field and byte outside extra_volatile must match exactly";
-
-using Document = std::variant<bench::SuiteResult, bench::SuiteProfile>;
-
-struct Loaded {
-  Document doc;
-  std::string bytes;  ///< The file's text, extra_volatile stripped.
-};
+    "  every byte outside extra_volatile must match exactly";
 
 bool is_result_file(const std::string& name) {
   return (name.starts_with("BENCH_") || name.starts_with("SERVE_") ||
@@ -60,49 +50,35 @@ bool is_result_file(const std::string& name) {
          name.ends_with(".json");
 }
 
-std::string read_text(const std::string& path) {
+// Parses `path` as the kind its name announces (a name with no known prefix
+// parses as BENCH) and returns its text.
+std::string load(const fs::path& path) {
+  const std::string name = path.filename().string();
+  if (name.starts_with("PROF_")) {
+    (void)bench::load_profile_file(path.string());
+  } else if (name.starts_with("SERVE_")) {
+    (void)bench::load_serve_file(path.string());
+  } else {
+    (void)bench::load_result_file(path.string());
+  }
   std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open '" + path + "'");
   std::ostringstream buf;
   buf << f.rdbuf();
   return buf.str();
 }
 
-// Loads one file, or every BENCH_/SERVE_/PROF_*.json inside a directory,
-// keyed by "<KIND>_<suite>" (the file stem the writer gives it). A lone
-// file whose name has none of these prefixes loads as a BENCH file.
-std::map<std::string, Loaded> load(const std::string& path) {
-  std::vector<std::string> files;
-  if (fs::is_directory(path)) {
-    for (const fs::directory_entry& e : fs::directory_iterator(path)) {
-      if (e.is_regular_file() &&
-          is_result_file(e.path().filename().string())) {
-        files.push_back(e.path().string());
-      }
-    }
-  } else {
-    files.push_back(path);
+// One file, or every BENCH_/SERVE_/PROF_*.json inside a directory, keyed by
+// file name.
+std::map<std::string, std::string> load_all(const std::string& path) {
+  std::map<std::string, std::string> docs;
+  if (!fs::is_directory(path)) {
+    docs.emplace(fs::path(path).filename().string(), load(path));
+    return docs;
   }
-  std::map<std::string, Loaded> docs;
-  for (const std::string& f : files) {
-    const std::string name = fs::path(f).filename().string();
-    std::string key;
-    Loaded doc{{}, bench::strip_volatile(read_text(f))};
-    if (name.starts_with("PROF_")) {
-      bench::SuiteProfile p = bench::load_profile_file(f);
-      key = "PROF_" + p.suite;
-      doc.doc = std::move(p);
-    } else if (name.starts_with("SERVE_")) {
-      bench::SuiteResult r = bench::load_serve_file(f);
-      key = "SERVE_" + r.suite;
-      doc.doc = std::move(r);
-    } else {
-      bench::SuiteResult r = bench::load_result_file(f);
-      key = "BENCH_" + r.suite;
-      doc.doc = std::move(r);
-    }
-    if (!docs.emplace(key, std::move(doc)).second) {
-      throw std::runtime_error("duplicate " + key + " in " + path);
+  for (const fs::directory_entry& e : fs::directory_iterator(path)) {
+    const std::string name = e.path().filename().string();
+    if (e.is_regular_file() && is_result_file(name)) {
+      docs.emplace(name, load(e.path()));
     }
   }
   if (docs.empty()) {
@@ -110,24 +86,6 @@ std::map<std::string, Loaded> load(const std::string& path) {
                              path);
   }
   return docs;
-}
-
-// Same-kind documents compare exactly; keys embed the kind, so a key match
-// never pairs a profile with a result.
-bench::CompareReport compare(const Document& baseline,
-                             const Document& current) {
-  return std::visit(
-      [&](const auto& b) {
-        return bench::compare_exact(
-            b, std::get<std::decay_t<decltype(b)>>(current));
-      },
-      baseline);
-}
-
-// Shortest round-trip form, so a one-ulp delta still reads as two values; a
-// field that is not a number, or absent on that side, reads "n/a".
-std::string show(double v) {
-  return std::isfinite(v) ? bench::json_num(v) : "n/a";
 }
 
 }  // namespace
@@ -141,64 +99,50 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::map<std::string, Loaded> baseline;
-  std::map<std::string, Loaded> current;
+  std::map<std::string, std::string> baseline;
+  std::map<std::string, std::string> current;
   try {
-    baseline = load(baseline_path);
-    current = load(current_path);
+    baseline = load_all(baseline_path);
+    current = load_all(current_path);
   } catch (const std::runtime_error& e) {
     slog::error("error: %s\n", e.what());
     return 2;
   }
+  // Two single files compare with each other whatever their names.
+  if (!fs::is_directory(baseline_path) && !fs::is_directory(current_path)) {
+    current = {{baseline.begin()->first, current.begin()->second}};
+  }
 
-  bench::CompareReport total;
-  int missing_files = 0;
-  int byte_diffs = 0;
-  for (const auto& [key, base] : baseline) {
-    const auto it = current.find(key);
+  int missing = 0;
+  int differ = 0;
+  for (const auto& [name, base] : baseline) {
+    const auto it = current.find(name);
     if (it == current.end()) {
-      std::printf("%-40s MISSING from current\n", key.c_str());
-      ++missing_files;
+      std::printf("%-40s MISSING from current\n", name.c_str());
+      ++missing;
       continue;
     }
-    bench::CompareReport rep;
-    try {
-      rep = compare(base.doc, it->second.doc);
-    } catch (const std::exception& e) {
-      slog::error("error: %s: %s\n", key.c_str(), e.what());
-      return 2;
+    const std::optional<bench::ByteDiff> d =
+        bench::first_difference(base, it->second);
+    if (!d) {
+      std::printf("%-40s same\n", name.c_str());
+      continue;
     }
-    const bool bytes_differ = base.bytes != it->second.bytes;
-    byte_diffs += bytes_differ ? 1 : 0;
-    std::printf("%-40s matched=%d missing=%d added=%d%s%s\n", key.c_str(),
-                rep.matched, rep.missing, rep.added,
-                rep.has_regression() ? "  REGRESSION" : "",
-                bytes_differ ? "  BYTES DIFFER" : "");
-    bench::merge_compare_reports(total, rep);
+    ++differ;
+    std::printf("%-40s DIFFERS at line %zu (baseline %zu lines, current "
+                "%zu lines)\n  - %s\n  + %s\n",
+                name.c_str(), d->line, d->baseline_lines, d->current_lines,
+                d->baseline_line.c_str(), d->current_line.c_str());
   }
-  for (const auto& [key, cur] : current) {
-    if (!baseline.count(key)) {
-      std::printf("%-40s new in current (no baseline)\n", key.c_str());
+  for (const auto& [name, cur] : current) {
+    if (!baseline.count(name)) {
+      std::printf("%-40s new in current (no baseline)\n", name.c_str());
     }
   }
 
-  for (const bench::MetricDelta& d : total.deltas) {
-    std::printf("REGRESSION %s/%s %s: %s -> %s", d.suite.c_str(),
-                d.key.c_str(), d.metric.c_str(), show(d.baseline).c_str(),
-                show(d.current).c_str());
-    if (std::isfinite(d.rel_delta)) {
-      std::printf(" (%+.2f%%)", d.rel_delta * 100.0);
-    }
-    std::printf("\n");
-  }
-
-  const bool regressed =
-      total.has_regression() || missing_files > 0 || byte_diffs > 0;
-  std::printf("\n%zu file(s) compared, %d missing; %d record pairs compared, "
-              "%d missing, %d added, %zu field delta(s), %d file(s) with "
-              "byte differences; exact -> %s\n",
-              baseline.size() - missing_files, missing_files, total.matched,
-              total.missing, total.added, total.deltas.size(), byte_diffs,
+  const bool regressed = missing > 0 || differ > 0;
+  std::printf("\n%zu file(s) compared, %d missing, %d differ; exact -> %s\n",
+              baseline.size() - missing, missing, differ,
               regressed ? "REGRESSIONS FOUND" : "clean");
   return regressed ? 1 : 0;
 }

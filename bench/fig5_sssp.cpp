@@ -3,11 +3,8 @@
 // lbTHRES values; nested-kernel-call counts reported for the dynamic
 // parallelism variants (the numbers the paper prints on top of the bars).
 //
-// --threads=N runs the simulator's host engine with N worker threads
-// (0 = serial). --compare-engines additionally reruns the whole sweep on
-// both engines, checks that cycles and distances match bit-for-bit, and
-// reports the host wall-clock speedup.
-#include <chrono>
+// NESTPAR_THREADS / NESTPAR_EXEC pick the host engine
+// (simt::ExecPolicy::from_env); the records are the same under every engine.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,47 +20,10 @@ namespace {
 
 constexpr int kThresholds[] = {32, 64, 128, 256, 512, 1024};
 
-/// One full Figure-5 sweep (baseline + all templates x lbTHRES) under the
-/// given engine policy. Returns the model cycle count of every run, the last
-/// run's distances, and the host wall-clock seconds.
-struct SweepResult {
-  std::vector<std::uint64_t> cycles;
-  std::vector<float> dist;
-  double wall_seconds = 0.0;
-};
-
-SweepResult run_sweep(simt::Device& dev, const graph::Csr& g,
-                      const std::vector<LoopTemplate>& templates,
-                      const simt::ExecPolicy& policy) {
-  SweepResult r;
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    simt::Session session = dev.session(policy);
-    r.dist = apps::run_sssp(dev, g, 0, LoopTemplate::kBaseline).dist;
-    r.cycles.push_back(session.report().total_cycles);
-  }
-  for (const LoopTemplate t : templates) {
-    for (const int lb : kThresholds) {
-      nested::LoopParams p;
-      p.lb_threshold = lb;
-      simt::Session session = dev.session(policy);
-      r.dist = apps::run_sssp(dev, g, 0, t, p).dist;
-      r.cycles.push_back(session.report().total_cycles);
-    }
-  }
-  r.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return r;
-}
-
 int run(const bench::Args& args, bench::SuiteResult& out) {
   const double scale = args.get_double("scale", 0.1);
   const bool skip_naive = args.get_flag("skip-dpar-naive");
-  const int threads = static_cast<int>(args.get_int("threads", 0));
-  const simt::ExecPolicy policy = threads > 0
-                                      ? simt::ExecPolicy::parallel(threads)
-                                      : simt::ExecPolicy::from_env();
+  const simt::ExecPolicy policy = simt::ExecPolicy::from_env();
 
   bench::banner(
       "Figure 5 - SSSP: speedup of load-balancing templates over baseline "
@@ -131,23 +91,6 @@ int run(const bench::Args& args, bench::SuiteResult& out) {
     }
   }
 
-  if (args.get_flag("compare-engines")) {
-    const int par_threads =
-        threads > 0 ? threads : simt::ExecPolicy::parallel().resolve_threads();
-    std::printf("\nengine comparison (serial vs parallel/%d):\n", par_threads);
-    const SweepResult serial =
-        run_sweep(dev, g, templates, simt::ExecPolicy::serial());
-    const SweepResult parallel =
-        run_sweep(dev, g, templates, simt::ExecPolicy::parallel(par_threads));
-    const bool cycles_match = serial.cycles == parallel.cycles;
-    const bool dist_match = serial.dist == parallel.dist;
-    std::printf("  serial:   %.2fs wall\n", serial.wall_seconds);
-    std::printf("  parallel: %.2fs wall (%.2fx)\n", parallel.wall_seconds,
-                serial.wall_seconds / parallel.wall_seconds);
-    std::printf("  model cycles identical: %s\n", cycles_match ? "yes" : "NO");
-    std::printf("  distances identical:    %s\n", dist_match ? "yes" : "NO");
-    if (!cycles_match || !dist_match) return 1;
-  }
   return 0;
 }
 
@@ -157,8 +100,7 @@ const bench::Registration reg{{
     .name = "fig5_sssp",
     .figure = "Figure 5",
     .description = "SSSP load-balancing template sweep vs lbTHRES",
-    .usage = "fig5_sssp [--scale=0.1] [--skip-dpar-naive] [--threads=N] "
-             "[--compare-engines] [--out=DIR]",
+    .usage = "fig5_sssp [--scale=0.1] [--skip-dpar-naive] [--out=DIR]",
     .smoke_flags = kSmokeFlags,
     .run = &run,
 }};

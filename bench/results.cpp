@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -203,17 +202,6 @@ SuiteResult load_result_file(const std::string& path) {
 
 // ---------------------------------------------------------------------------
 // SERVE_<suite>.json: serving-scenario outcome records.
-
-std::string ServeRecord::key() const {
-  std::string k = scenario + "|";
-  bool first = true;
-  for (const auto& [name, value] : params) {
-    if (!first) k += ',';
-    first = false;
-    k += name + "=" + json_num(value);
-  }
-  return k;
-}
 
 std::string to_serve_json(const SuiteResult& result) {
   std::string out;
@@ -720,179 +708,6 @@ SuiteProfile load_profile_file(const std::string& path) {
   return load_file(path, "profile", &parse_profile_json);
 }
 
-bool CompareReport::has_regression() const {
-  return missing > 0 || !deltas.empty();
-}
-
-namespace {
-
-/// One record's serialized fields, keyed by JSON path.
-using Fields = std::map<std::string, JsonValue>;
-
-void flatten(const JsonValue& v, const std::string& path, Fields& out) {
-  if (v.is_object()) {
-    for (const auto& [k, child] : v.object()) {
-      if (k != "extra_volatile") {
-        flatten(child, path.empty() ? k : path + "/" + k, out);
-      }
-    }
-  } else if (v.is_array()) {
-    const JsonArray& a = v.array();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      flatten(a[i], path + "/" + std::to_string(i), out);
-    }
-  } else {
-    out.emplace(path, v);
-  }
-}
-
-using Records = std::vector<std::pair<std::string, Fields>>;
-
-/// Appends the fields of each record in `root`'s `array` member to `out`,
-/// paired with the record's match key (`keys` is in document order).
-void append_records(const JsonValue& root, const char* array,
-                    const std::vector<std::string>& keys, Records& out) {
-  const JsonArray& records = require_arr(as_object(root, "document"), array);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    flatten(records[i], "", out.emplace_back(keys[i], Fields{}).second);
-  }
-}
-
-bool same_field(const JsonValue& a, const JsonValue& b) {
-  if (a.v.index() != b.v.index()) return false;
-  if (a.is_number()) return a.number() == b.number();
-  if (a.is_string()) return a.string() == b.string();
-  if (std::holds_alternative<bool>(a.v)) {
-    return std::get<bool>(a.v) == std::get<bool>(b.v);
-  }
-  return true;  // null
-}
-
-double field_number(const JsonValue* v) {
-  return v != nullptr && v->is_number() ? v->number() : std::nan("");
-}
-
-void diff_exact(CompareReport& report, const std::string& suite,
-                const Records& baseline, const Records& current) {
-  // A key can repeat (a sweep point measured twice): the n-th baseline
-  // record with a key pairs with the n-th current one.
-  std::map<std::string, std::vector<std::size_t>> current_pos;
-  for (std::size_t i = 0; i < current.size(); ++i) {
-    current_pos[current[i].first].push_back(i);
-  }
-  constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> match(baseline.size(), kUnmatched);
-  std::map<std::string, std::size_t> seen;
-  std::vector<std::size_t> in_order;  // Matched current positions, sorted.
-  for (std::size_t bi = 0; bi < baseline.size(); ++bi) {
-    const auto it = current_pos.find(baseline[bi].first);
-    const std::size_t n = seen[baseline[bi].first]++;
-    if (it != current_pos.end() && n < it->second.size()) {
-      match[bi] = it->second[n];
-      in_order.push_back(match[bi]);
-    }
-  }
-  std::sort(in_order.begin(), in_order.end());
-  // A matched record whose current position is not the next slot of the
-  // sorted sequence sits out of order.
-  std::size_t rank = 0;
-  for (std::size_t bi = 0; bi < baseline.size(); ++bi) {
-    const auto& [key, bf] = baseline[bi];
-    if (match[bi] == kUnmatched) {
-      ++report.missing;
-      continue;
-    }
-    ++report.matched;
-    const Fields& cf = current[match[bi]].second;
-    const auto delta = [&](const std::string& metric, double b, double c) {
-      MetricDelta d;
-      d.suite = suite;
-      d.key = key;
-      d.metric = metric;
-      d.baseline = b;
-      d.current = c;
-      d.rel_delta = (c - b) / std::max(std::abs(b), 1e-12);
-      report.deltas.push_back(std::move(d));
-    };
-    if (in_order[rank++] != match[bi]) {
-      delta("position", static_cast<double>(bi),
-            static_cast<double>(match[bi]));
-    }
-    const auto diff = [&](const std::string& path, const JsonValue* b,
-                          const JsonValue* c) {
-      if (b != nullptr && c != nullptr && same_field(*b, *c)) return;
-      delta(path, field_number(b), field_number(c));
-    };
-    for (const auto& [path, b] : bf) {
-      const auto c = cf.find(path);
-      diff(path, &b, c == cf.end() ? nullptr : &c->second);
-    }
-    for (const auto& [path, c] : cf) {
-      if (!bf.count(path)) diff(path, nullptr, &c);
-    }
-  }
-  report.added += static_cast<int>(current.size() - in_order.size());
-}
-
-template <class Record>
-Records suite_records(const std::string& doc, const char* array,
-                      const std::vector<Record>& records) {
-  std::vector<std::string> keys;
-  keys.reserve(records.size());
-  for (const Record& r : records) keys.push_back(r.key());
-  Records out;
-  append_records(parse_json(doc), array, keys, out);
-  return out;
-}
-
-/// The `kernels` entries keyed by name, after one record that holds every
-/// other field of the document.
-Records profile_records(const SuiteProfile& profile) {
-  const JsonValue root = parse_json(to_json(profile));
-  std::vector<std::string> names;
-  names.reserve(profile.prof.kernels.size());
-  for (const simt::KernelProfile& k : profile.prof.kernels) {
-    names.push_back(k.name);
-  }
-  Records out{{"(profile)", {}}};
-  for (const auto& [k, v] : root.object()) {
-    if (k != "kernels") flatten(v, k, out[0].second);
-  }
-  append_records(root, "kernels", names, out);
-  return out;
-}
-
-}  // namespace
-
-CompareReport compare_exact(const SuiteResult& baseline,
-                            const SuiteResult& current) {
-  CompareReport report;
-  diff_exact(report, baseline.suite,
-             suite_records(to_json(baseline), "measurements",
-                           baseline.measurements),
-             suite_records(to_json(current), "measurements",
-                           current.measurements));
-  diff_exact(report, baseline.suite + " [serve]",
-             suite_records(to_serve_json(baseline), "records", baseline.serve),
-             suite_records(to_serve_json(current), "records", current.serve));
-  return report;
-}
-
-CompareReport compare_exact(const SuiteProfile& baseline,
-                            const SuiteProfile& current) {
-  CompareReport report;
-  diff_exact(report, baseline.suite + " [prof]", profile_records(baseline),
-             profile_records(current));
-  return report;
-}
-
-void merge_compare_reports(CompareReport& a, const CompareReport& b) {
-  a.deltas.insert(a.deltas.end(), b.deltas.begin(), b.deltas.end());
-  a.matched += b.matched;
-  a.missing += b.missing;
-  a.added += b.added;
-}
-
 std::string strip_volatile(std::string_view text) {
   // The writers put "extra_volatile" last in its record, after a comma,
   // with a flat object as its value.
@@ -928,6 +743,53 @@ std::string strip_volatile(std::string_view text) {
   }
   out.append(text.substr(pos));
   return out;
+}
+
+namespace {
+
+/// Lines as the report counts them: a last line without '\n' still counts.
+std::size_t count_lines(std::string_view text) {
+  return static_cast<std::size_t>(
+             std::count(text.begin(), text.end(), '\n')) +
+         (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
+/// The line that starts at `begin`, clipped to kWindow characters around
+/// column `col` when it is longer.
+std::string clipped_line(std::string_view text, std::size_t begin,
+                         std::size_t col) {
+  constexpr std::size_t kWindow = 160;
+  const std::string_view rest = text.substr(begin);
+  const std::string_view line = rest.substr(0, rest.find('\n'));
+  if (line.size() <= kWindow) return std::string(line);
+  const std::size_t from =
+      std::min(col > kWindow / 2 ? col - kWindow / 2 : 0,
+               line.size() - kWindow);
+  return (from > 0 ? "..." : "") + std::string(line.substr(from, kWindow)) +
+         (from + kWindow < line.size() ? "..." : "");
+}
+
+}  // namespace
+
+std::optional<ByteDiff> first_difference(std::string_view baseline,
+                                         std::string_view current) {
+  const std::string b = strip_volatile(baseline);
+  const std::string c = strip_volatile(current);
+  if (b == c) return std::nullopt;
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(b.begin(), b.end(), c.begin(), c.end()).first -
+      b.begin());
+  // Both sides agree up to `at`, so the line starts at the same offset.
+  const std::size_t nl = at == 0 ? std::string::npos : b.rfind('\n', at - 1);
+  const std::size_t begin = nl == std::string::npos ? 0 : nl + 1;
+  ByteDiff d;
+  d.line = 1 + static_cast<std::size_t>(
+                   std::count(b.begin(), b.begin() + begin, '\n'));
+  d.baseline_line = clipped_line(b, begin, at - begin);
+  d.current_line = clipped_line(c, begin, at - begin);
+  d.baseline_lines = count_lines(b);
+  d.current_lines = count_lines(c);
+  return d;
 }
 
 }  // namespace nestpar::bench

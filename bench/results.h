@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,7 +58,6 @@ struct Measurement {
   std::string dataset;  ///< Input name ("citeseer", "tree", "random", ...).
   double scale = 1.0;   ///< Dataset scale factor (1.0 = published size).
   /// Extra identity coordinates (lb_threshold, block_size, outdegree, ...).
-  /// Part of the match key: records with different params never compare.
   std::map<std::string, double> params;
 
   // Deterministic model-side metrics.
@@ -88,8 +88,8 @@ struct Measurement {
   /// ends in "_per_sec".
   static bool is_wall_derived(const std::string& metric);
 
-  /// Identity within a suite: "tmpl|dataset|scale|k=v,k=v". The comparator
-  /// matches baseline and current records by (suite, key()).
+  /// Identity within a suite: "tmpl|dataset|scale|k=v,k=v". Names the
+  /// record in the serializer's errors.
   std::string key() const;
 };
 
@@ -108,8 +108,7 @@ inline constexpr int kServeSchemaVersion = 3;
 /// the model-side bench metrics.
 struct ServeRecord {
   std::string scenario;  ///< Load point name ("steady", "overload", ...).
-  /// Identity coordinates (qps, shards, fault rates, ...). Part of the match
-  /// key, so chaos records never compare against clean baselines.
+  /// Identity coordinates (qps, shards, fault rates, ...).
   std::map<std::string, double> params;
 
   serve::ServeStats stats;
@@ -125,9 +124,6 @@ struct ServeRecord {
 
   /// Telemetry time-series (serialized when non-empty).
   std::vector<serve::TimeSeries> telemetry;
-
-  /// Identity within a suite: "scenario|k=v,k=v".
-  std::string key() const;
 };
 
 /// All measurements one registered suite produced in one run, written as one
@@ -207,53 +203,27 @@ std::string write_profile_file(const SuiteProfile& profile,
 /// parse/schema failure.
 SuiteProfile load_profile_file(const std::string& path);
 
-/// One field that differs between a matched baseline/current record pair.
-struct MetricDelta {
-  std::string suite;
-  std::string key;       ///< Match key of the record pair.
-  std::string metric;    ///< JSON path of the field ("cycles", ...).
-  double baseline = 0.0;
-  double current = 0.0;
-  double rel_delta = 0.0;  ///< (current - baseline) / max(|baseline|, eps).
-};
-
-/// Result of comparing one file (or a whole directory of files).
-struct CompareReport {
-  std::vector<MetricDelta> deltas;  ///< Every field that differs.
-  int matched = 0;      ///< Record pairs present on both sides.
-  int missing = 0;      ///< Baseline records absent from current (regression).
-  int added = 0;        ///< Current records absent from baseline (fine).
-  /// Any delta, in either direction, or any missing record.
-  bool has_regression() const;
-};
-
-/// The exact gate: match BENCH records by Measurement::key() and SERVE
-/// records by ServeRecord::key(), and diff every serialized field outside
-/// `extra_volatile`. Any delta, in either direction, is a regression. Fields
-/// are named by their JSON path ("cycles", "robustness/retries",
-/// "tenants/1/ok"); a field that is not a number, or is absent on one side,
-/// reports NaN for that side. Matched records must also keep their relative
-/// order: one that sits elsewhere in the sequence reports a "position" delta
-/// (its record index on each side). Missing baseline records are
-/// regressions; added records are not.
-CompareReport compare_exact(const SuiteResult& baseline,
-                            const SuiteResult& current);
-
-/// The same exact gate over PROF documents. The records are the `kernels`
-/// entries, keyed by name, preceded by one record (key "(profile)") that
-/// holds every other field of the document: totals, `depth_grids`,
-/// `tracks`, `counters`, `instants`, `critical_path` and `attribution`.
-CompareReport compare_exact(const SuiteProfile& baseline,
-                            const SuiteProfile& current);
-
-/// Merge `b` into `a` (summing match counts and concatenating deltas).
-void merge_compare_reports(CompareReport& a, const CompareReport& b);
-
-/// The byte half of the exact gate: `text`, a result file's contents, with
-/// every `"extra_volatile"` member and the comma before it removed.
-/// compare_results fails a file whose stripped bytes differ from its
-/// baseline's even when every parsed field matches, so a change in number
-/// formatting alone (`1000000` written as `1e+06`) fails too.
+/// `text`, a result file's contents, with every `"extra_volatile"` member
+/// and the comma before it removed: what the exact gate compares.
 std::string strip_volatile(std::string_view text);
+
+/// Where two result files first part once both are stripped of their
+/// `extra_volatile` members. Lines are 1-based; one longer than 160
+/// characters is clipped to a window around the first differing column.
+struct ByteDiff {
+  std::size_t line = 0;         ///< First line that differs.
+  std::string baseline_line;    ///< That line in the baseline ("" past EOF).
+  std::string current_line;     ///< That line in the current file.
+  std::size_t baseline_lines = 0;
+  std::size_t current_lines = 0;
+};
+
+/// The exact gate, the one answer to "is this output the same?": nullopt
+/// when `baseline` and `current` have the same bytes outside
+/// `extra_volatile`, otherwise where they first differ. Any changed field,
+/// a record added, dropped or moved, or a number written in another format
+/// (`1e+06` as `1000000`) changes the bytes.
+std::optional<ByteDiff> first_difference(std::string_view baseline,
+                                         std::string_view current);
 
 }  // namespace nestpar::bench

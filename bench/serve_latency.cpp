@@ -45,7 +45,7 @@ int run(const bench::Args& args, bench::SuiteResult& out) {
   cfg.num_tenants = static_cast<int>(args.get_int("tenants", 4));
   // Observability knobs. The interval is deliberately NOT a record param:
   // changing how often we *observe* must never re-key a record, and the
-  // series themselves are gated per-name by the comparator.
+  // series themselves are gated by the comparator.
   cfg.metrics_interval_us = args.get_double("metrics-interval-us", 1000.0);
   cfg.tmpl = nested::parse_loop_template(args.get_string("tmpl", "cons-grid"));
   const std::string faults_spec = args.get_string("faults", "");

@@ -118,8 +118,8 @@ LoopTemplate parse_loop_template(std::string_view s);
 /// report is empty.
 struct LoopRun {
   LoopTemplate tmpl = LoopTemplate::kBaseline;
-  LoopParams params;
-  std::optional<simt::ExecPolicy> policy;
+  LoopParams params{};
+  std::optional<simt::ExecPolicy> policy{};
 };
 
 /// Result of a run: the timing report when `LoopRun::policy` was set (empty

@@ -93,8 +93,8 @@ struct RecOptions {
 struct TreeRun {
   TreeAlgo algo = TreeAlgo::kDescendants;
   RecTemplate tmpl = RecTemplate::kFlat;
-  RecOptions opt;
-  std::optional<simt::ExecPolicy> policy;
+  RecOptions opt{};
+  std::optional<simt::ExecPolicy> policy{};
 };
 
 /// Result of a run: per-node values, plus the timing report when

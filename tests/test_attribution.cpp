@@ -293,7 +293,9 @@ TEST(ServeAttribution, TenantRollupsPartitionTheRun) {
   std::uint32_t last_tenant = 0;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const serve::TenantUsage& t = tenants[i];
-    if (i > 0) EXPECT_GT(t.tenant, last_tenant);  // sorted, unique
+    if (i > 0) {
+      EXPECT_GT(t.tenant, last_tenant);  // sorted, unique
+    }
     last_tenant = t.tenant;
     requests += t.requests;
     ok += t.ok;

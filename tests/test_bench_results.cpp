@@ -1,10 +1,9 @@
 // Tests for the benchmark results pipeline (bench/results.{h,cpp}) and the
 // bench::Args flag parser: JSON round-trip fidelity, schema-version
 // rejection, byte identity and mutation robustness on the checked-in
-// baselines, regression detection in the comparator, and flag semantics.
+// baselines, the exact byte gate, and flag semantics.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -22,12 +21,9 @@
 namespace {
 
 using nestpar::bench::Args;
-using nestpar::bench::compare_exact;
-using nestpar::bench::CompareReport;
 using nestpar::bench::kResultSchemaVersion;
 using nestpar::bench::load_profile_file;
 using nestpar::bench::Measurement;
-using nestpar::bench::merge_compare_reports;
 using nestpar::bench::parse_result_json;
 using nestpar::bench::strip_volatile;
 using nestpar::bench::SuiteProfile;
@@ -369,250 +365,178 @@ TEST(ServeResults, AttributionTotalsAreAlwaysWritten) {
   EXPECT_THROW((void)parse_serve_json(bad), std::runtime_error);
 }
 
-// The exact gate: every serialized field outside extra_volatile must match,
-// in either direction.
+// The exact gate (bench::first_difference): any change to a record moves
+// the bytes outside extra_volatile, and a change inside it does not.
 
-bool has_delta(const CompareReport& rep, const std::string& metric) {
-  for (const auto& d : rep.deltas) {
-    if (d.metric == metric) return true;
-  }
-  return false;
-}
+using nestpar::bench::first_difference;
 
-TEST(ExactCompare, IdenticalResultsHaveNoDeltas) {
-  const CompareReport rep = compare_exact(sample_result(), sample_result());
-  EXPECT_EQ(rep.matched, 2);
-  EXPECT_TRUE(rep.deltas.empty());
-  EXPECT_FALSE(rep.has_regression());
-}
-
-TEST(ExactCompare, AnyDeltaInEitherDirectionIsARegression) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].cycles -= 1.0;  // Faster is still drift.
-  current.measurements[1].warp_efficiency += 1e-9;
-  current.measurements[0].robustness.retries = 3;
-  current.measurements[0].extra["speedup"] = 1.88;
-  const CompareReport rep = compare_exact(baseline, current);
-  EXPECT_TRUE(rep.has_regression());
-  EXPECT_EQ(rep.deltas.size(), 4u);
-  EXPECT_TRUE(has_delta(rep, "cycles"));
-  EXPECT_TRUE(has_delta(rep, "warp_efficiency"));
-  EXPECT_TRUE(has_delta(rep, "robustness/retries"));
-  EXPECT_TRUE(has_delta(rep, "extra/speedup"));
-  EXPECT_EQ(rep.deltas[0].rel_delta, -1.0 / 1234567.0);
-
-  // Merging reports (one per file) sums counts and keeps every delta.
-  CompareReport total;
-  merge_compare_reports(total, rep);
-  merge_compare_reports(total, rep);
-  EXPECT_EQ(total.matched, 2 * rep.matched);
-  EXPECT_EQ(total.deltas.size(), 2 * rep.deltas.size());
-  EXPECT_TRUE(total.has_regression());
-}
-
-TEST(ExactCompare, OneSidedFieldsReportNaN) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[1].extra["new_metric"] = 2.0;
-  const CompareReport rep = compare_exact(baseline, current);
-  ASSERT_EQ(rep.deltas.size(), 1u);
-  EXPECT_EQ(rep.deltas[0].metric, "extra/new_metric");
-  EXPECT_TRUE(std::isnan(rep.deltas[0].baseline));
-  EXPECT_EQ(rep.deltas[0].current, 2.0);
-  EXPECT_TRUE(rep.has_regression());
-}
-
-TEST(ExactCompare, VolatileExtrasAreNeverCompared) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].volatile_extra["cpu_speedup"] = 3.5;
-  SuiteResult serve_current = sample_serve_result();
-  serve_current.serve[0].volatile_extra["wall_elapsed_ms"] = 99.0;
-  EXPECT_TRUE(compare_exact(baseline, current).deltas.empty());
-  EXPECT_TRUE(compare_exact(sample_serve_result(), serve_current)
-                  .deltas.empty());
-}
-
-TEST(ExactCompare, NumberFormattingAloneFailsTheByteCheck) {
-  SuiteResult r = sample_result();
-  r.measurements[1].cycles = 1000000.0;
-  // The writer prints the shortest form, 1e+06; a writer that printed
-  // 1000000 would parse to the same double.
-  const std::string baseline = to_json(r);
-  const std::string needle = "\"cycles\": 1e+06,";
-  ASSERT_NE(baseline.find(needle), std::string::npos);
-  std::string current = baseline;
-  current.replace(current.find(needle), needle.size(),
-                  "\"cycles\": 1000000,");
-  // The parsed fields agree; only the bytes tell the files apart.
-  EXPECT_TRUE(compare_exact(parse_result_json(baseline),
-                            parse_result_json(current))
-                  .deltas.empty());
-  EXPECT_NE(strip_volatile(baseline), strip_volatile(current));
-}
-
-TEST(ExactCompare, ByteCheckIgnoresOnlyVolatileSections) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements[0].volatile_extra["wall_us"] = 12.5;
-  current.measurements[1].volatile_extra["wall_us"] = 7.0;
-  EXPECT_EQ(strip_volatile(to_json(baseline)),
-            strip_volatile(to_json(current)));
-  SuiteResult serve_current = sample_serve_result();
-  serve_current.serve[0].volatile_extra["wall_elapsed_ms"] = 99.0;
-  EXPECT_EQ(strip_volatile(to_serve_json(sample_serve_result())),
-            strip_volatile(to_serve_json(serve_current)));
-  // A key inside the stripped object may hold a brace.
-  EXPECT_EQ(strip_volatile(R"({"b": 2, "extra_volatile": {"a}": 1}})"),
-            R"({"b": 2})");
-}
-
-TEST(ExactCompare, MissingRecordsFailAddedRecordsDoNot) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  current.measurements.pop_back();
-  CompareReport rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.missing, 1);
-  EXPECT_TRUE(rep.has_regression());
-
-  current = baseline;
-  Measurement extra;
-  extra.tmpl = "new-variant";
-  current.measurements.push_back(extra);
-  rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.added, 1);
-  EXPECT_FALSE(rep.has_regression());
-}
-
-TEST(ExactCompare, ReorderedRecordsFail) {
-  const SuiteResult baseline = sample_result();
-  SuiteResult current = baseline;
-  std::swap(current.measurements[0], current.measurements[1]);
-  const CompareReport rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.matched, 2);
-  ASSERT_EQ(rep.deltas.size(), 2u);
-  EXPECT_TRUE(has_delta(rep, "position"));
-  EXPECT_EQ(rep.deltas[0].baseline, 0.0);
-  EXPECT_EQ(rep.deltas[0].current, 1.0);
-
-  // Order is relative: records added in between, or a missing one, shift
-  // indices without reordering what is left.
-  current = baseline;
-  Measurement extra;
-  extra.tmpl = "new-variant";
-  current.measurements.insert(current.measurements.begin() + 1, extra);
-  EXPECT_FALSE(compare_exact(baseline, current).has_regression());
-  current = baseline;
-  current.measurements.erase(current.measurements.begin());
-  EXPECT_TRUE(compare_exact(baseline, current).deltas.empty());
-
-  // A repeated key pairs occurrence by occurrence, so a sweep point that is
-  // measured twice is neither misordered nor compared with its twin.
-  SuiteResult repeated = baseline;
-  repeated.measurements.push_back(baseline.measurements[0]);
-  repeated.measurements.back().cycles += 1.0;
-  EXPECT_TRUE(compare_exact(repeated, repeated).deltas.empty());
-  current = repeated;
-  std::swap(current.measurements[0], current.measurements[2]);
-  const CompareReport twins = compare_exact(repeated, current);
-  EXPECT_EQ(twins.matched, 3);
-  EXPECT_TRUE(has_delta(twins, "cycles"));
-
-  SuiteResult serve_baseline = sample_serve_result();
-  serve_baseline.serve.push_back(serve_baseline.serve[0]);
-  serve_baseline.serve[1].scenario = "burst";
-  SuiteResult serve_current = serve_baseline;
-  std::swap(serve_current.serve[0], serve_current.serve[1]);
-  EXPECT_TRUE(has_delta(compare_exact(serve_baseline, serve_current),
-                        "position"));
-}
-
-TEST(ExactCompare, ServeFieldsAndTelemetryPointsAreCompared) {
-  const SuiteResult baseline = sample_serve_result_with_tenants();
-  SuiteResult current = baseline;
-  current.serve[0].stats.p95_us = 379.0;
-  current.serve[0].telemetry[0].points[1].value = 3.0;
-  CompareReport rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.matched, 1);
-  EXPECT_EQ(rep.deltas.size(), 2u);
-  EXPECT_TRUE(has_delta(rep, "p95_us"));
-  EXPECT_TRUE(has_delta(rep, "telemetry/0/points/1/1"));
-  EXPECT_EQ(rep.deltas[0].suite, "serve_latency [serve]");
-
-  // A drop in total device cycles is drift like any other.
-  current = baseline;
-  current.serve[0].stats.device_cycles_total *= 0.9;
-  rep = compare_exact(baseline, current);
-  ASSERT_EQ(rep.deltas.size(), 1u);
-  EXPECT_EQ(rep.deltas[0].metric, "device_cycles_total");
-  EXPECT_NEAR(rep.deltas[0].rel_delta, -0.1, 1e-12);
-
-  // A tenant or a telemetry series the current run dropped leaves every one
-  // of its fields one-sided.
-  current = baseline;
-  current.serve[0].tenants.pop_back();
-  rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.deltas.size(), 7u);  // The tenant's seven fields.
-  EXPECT_TRUE(has_delta(rep, "tenants/1/requests"));
-  for (const auto& d : rep.deltas) EXPECT_TRUE(std::isnan(d.current));
-
-  current = baseline;
-  current.serve[0].telemetry.clear();
-  rep = compare_exact(baseline, current);
-  EXPECT_TRUE(has_delta(rep, "telemetry/0/name"));
-  EXPECT_TRUE(has_delta(rep, "telemetry/0/points/2/1"));
-  for (const auto& d : rep.deltas) EXPECT_TRUE(std::isnan(d.current));
-}
-
-TEST(ExactCompare, ProfileFieldsAreCompared) {
-  const SuiteProfile baseline = load_profile_file(
+TEST(ExactGate, FailsEveryMutationAndPassesVolatileOnlyChanges) {
+  const SuiteResult result = sample_result();
+  const SuiteResult serve = sample_serve_result_with_tenants();
+  const SuiteProfile prof = load_profile_file(
       (std::filesystem::path(NESTPAR_BASELINE_DIR) / "PROF_fig5_sssp.json")
           .string());
-  ASSERT_GE(baseline.prof.kernels.size(), 3u);
-  ASSERT_FALSE(baseline.prof.crit_chain.empty());
-  // One record for the document plus one per kernel.
-  CompareReport rep = compare_exact(baseline, baseline);
-  EXPECT_EQ(rep.matched, 1 + static_cast<int>(baseline.prof.kernels.size()));
-  EXPECT_TRUE(rep.deltas.empty());
+  ASSERT_GE(prof.prof.kernels.size(), 3u);
+  ASSERT_FALSE(prof.prof.crit_chain.empty());
+  ASSERT_GT(prof.prof.kernels[0].lane_hist[1], 0u);
+  const auto bench_with = [&](auto edit) {
+    SuiteResult r = result;
+    edit(r.measurements);
+    return to_json(r);
+  };
+  const auto serve_with = [&](auto edit) {
+    SuiteResult r = serve;
+    edit(r.serve);
+    return to_serve_json(r);
+  };
+  const auto prof_with = [&](auto edit) {
+    SuiteProfile p = prof;
+    edit(p.prof);
+    return to_json(p);
+  };
+  using Ms = std::vector<Measurement>;
+  using Ss = std::vector<ServeRecord>;
+  using nestpar::simt::CritCategory;
+  using nestpar::simt::ProfileSnapshot;
 
-  // A lane-histogram bucket, a critical-path category, and a 1% busy-cycles
-  // change are each a delta, named by the kernel or the document record.
-  SuiteProfile current = baseline;
-  nestpar::simt::KernelProfile& k = current.prof.kernels[0];
-  ASSERT_GT(k.lane_hist[1], 0u);
-  k.lane_hist[1] += 1;
-  k.busy_cycles *= 1.01;
-  auto& seg = current.prof.crit_chain[0];
-  seg.category = seg.category == nestpar::simt::CritCategory::kLaunch
-                     ? nestpar::simt::CritCategory::kCompute
-                     : nestpar::simt::CritCategory::kLaunch;
-  rep = compare_exact(baseline, current);
-  EXPECT_TRUE(rep.has_regression());
-  ASSERT_EQ(rep.deltas.size(), 3u);
-  EXPECT_EQ(rep.deltas[0].suite, "fig5_sssp [prof]");
-  EXPECT_EQ(rep.deltas[0].key, "(profile)");
-  EXPECT_EQ(rep.deltas[0].metric, "critical_path/chain/0/category");
-  EXPECT_EQ(rep.deltas[1].key, k.name);
-  EXPECT_EQ(rep.deltas[1].metric, "busy_cycles");
-  EXPECT_NEAR(rep.deltas[1].rel_delta, 0.01, 1e-12);
-  EXPECT_EQ(rep.deltas[2].metric, "lane_hist/1");
-  EXPECT_EQ(rep.deltas[2].current, rep.deltas[2].baseline + 1);
+  // The writer prints the shortest form, 2e+06; 2000000 parses to the same
+  // double, so only the bytes tell the two apart.
+  const std::string bench = to_json(result);
+  const std::string needle = "\"cycles\": 2e+06,";
+  ASSERT_NE(bench.find(needle), std::string::npos);
+  std::string long_form = bench;
+  long_form.replace(long_form.find(needle), needle.size(),
+                    "\"cycles\": 2000000,");
 
-  // A missing kernel fails; a reordered one reports its position.
-  current = baseline;
-  current.prof.kernels.erase(current.prof.kernels.begin() + 1);
-  rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.missing, 1);
-  EXPECT_TRUE(rep.deltas.empty());
-  EXPECT_TRUE(rep.has_regression());
+  const auto two_scenarios = [](Ss& s) {
+    s.push_back(s[0]);
+    s[1].scenario = "burst";
+  };
+  Ms twins = result.measurements;
+  twins.push_back(twins[0]);
+  twins.back().cycles += 1.0;
 
-  current = baseline;
-  std::swap(current.prof.kernels[0], current.prof.kernels[2]);
-  rep = compare_exact(baseline, current);
-  EXPECT_EQ(rep.missing, 0);
-  EXPECT_TRUE(has_delta(rep, "position"));
-  EXPECT_TRUE(rep.has_regression());
+  struct Case {
+    const char* name;
+    std::string baseline;
+    std::string current;
+    bool same;
+  };
+  const Case cases[] = {
+      {"identical", bench, bench, true},
+      {"volatile extras added", bench,
+       bench_with([](Ms& m) {
+         m[0].volatile_extra["wall_us"] = 12.5;
+         m[1].volatile_extra["cpu_speedup"] = 3.5;
+       }),
+       true},
+      {"serve volatile extra changed", to_serve_json(serve),
+       serve_with([](Ss& s) { s[0].volatile_extra["wall_elapsed_ms"] = 99; }),
+       true},
+      {"volatile key holding a brace", R"({"b": 2})",
+       R"({"b": 2, "extra_volatile": {"a}": 1}})", true},
+      {"cycles - 1", bench, bench_with([](Ms& m) { m[0].cycles -= 1.0; }),
+       false},
+      {"warp_efficiency + 1e-9", bench,
+       bench_with([](Ms& m) { m[1].warp_efficiency += 1e-9; }), false},
+      {"robustness field", bench,
+       bench_with([](Ms& m) { m[0].robustness.retries = 3; }), false},
+      {"extra field", bench,
+       bench_with([](Ms& m) { m[0].extra["speedup"] = 1.88; }), false},
+      {"one-sided extra key", bench,
+       bench_with([](Ms& m) { m[1].extra["new_metric"] = 2.0; }), false},
+      {"2e+06 written as 2000000", bench, long_form, false},
+      {"reordered records", bench,
+       bench_with([](Ms& m) { std::swap(m[0], m[1]); }), false},
+      {"missing record", bench, bench_with([](Ms& m) { m.pop_back(); }),
+       false},
+      {"added record", bench,
+       bench_with([](Ms& m) { m.emplace_back().tmpl = "new-variant"; }),
+       false},
+      {"record inserted between others", bench,
+       bench_with([](Ms& m) {
+         m.insert(m.begin() + 1, Measurement{})->tmpl = "new-variant";
+       }),
+       false},
+      {"repeated key swapped with its twin", bench_with([&](Ms& m) {
+         m = twins;
+       }),
+       bench_with([&](Ms& m) {
+         m = twins;
+         std::swap(m[0], m[2]);
+       }),
+       false},
+      {"serve field", to_serve_json(serve),
+       serve_with([](Ss& s) { s[0].stats.p95_us = 379.0; }), false},
+      {"serve device cycles", to_serve_json(serve),
+       serve_with([](Ss& s) { s[0].stats.device_cycles_total *= 0.9; }),
+       false},
+      {"telemetry point", to_serve_json(serve),
+       serve_with([](Ss& s) { s[0].telemetry[0].points[1].value = 3.0; }),
+       false},
+      {"telemetry series dropped", to_serve_json(serve),
+       serve_with([](Ss& s) { s[0].telemetry.clear(); }), false},
+      {"tenant dropped", to_serve_json(serve),
+       serve_with([](Ss& s) { s[0].tenants.pop_back(); }), false},
+      {"serve records reordered", serve_with(two_scenarios),
+       serve_with([&](Ss& s) {
+         two_scenarios(s);
+         std::swap(s[0], s[1]);
+       }),
+       false},
+      {"lane histogram bucket", to_json(prof),
+       prof_with([](ProfileSnapshot& p) { p.kernels[0].lane_hist[1] += 1; }),
+       false},
+      {"busy cycles", to_json(prof),
+       prof_with([](ProfileSnapshot& p) { p.kernels[0].busy_cycles *= 1.01; }),
+       false},
+      {"critical-path category", to_json(prof),
+       prof_with([](ProfileSnapshot& p) {
+         CritCategory& c = p.crit_chain[0].category;
+         c = c == CritCategory::kLaunch ? CritCategory::kCompute
+                                        : CritCategory::kLaunch;
+       }),
+       false},
+      {"missing kernel", to_json(prof),
+       prof_with([](ProfileSnapshot& p) {
+         p.kernels.erase(p.kernels.begin() + 1);
+       }),
+       false},
+      {"reordered kernels", to_json(prof),
+       prof_with([](ProfileSnapshot& p) {
+         std::swap(p.kernels[0], p.kernels[2]);
+       }),
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(!first_difference(c.baseline, c.current).has_value(), c.same);
+  }
+}
+
+TEST(ExactGate, ReportsTheFirstDifferingLineClipped) {
+  // Line 3 differs at column 200 of 300: the report keeps a 160-character
+  // window around it on each side.
+  const std::string baseline = "a\nb\n" + std::string(300, 'x') + "\n";
+  std::string current = baseline;
+  current[4 + 200] = 'y';
+  auto d = first_difference(baseline, current);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->line, 3u);
+  EXPECT_EQ(d->baseline_lines, 3u);
+  EXPECT_EQ(d->current_lines, 3u);
+  EXPECT_EQ(d->baseline_line, "..." + std::string(160, 'x') + "...");
+  EXPECT_EQ(d->current_line,
+            "..." + std::string(80, 'x') + "y" + std::string(79, 'x') + "...");
+
+  // A file that ends early shows an empty line and its shorter count.
+  d = first_difference("a\nb\n", "a\nb\nc");
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->line, 3u);
+  EXPECT_EQ(d->baseline_line, "");
+  EXPECT_EQ(d->current_line, "c");
+  EXPECT_EQ(d->baseline_lines, 2u);
+  EXPECT_EQ(d->current_lines, 3u);
 }
 
 TEST(BenchArgs, DuplicateFlagKeepsLastValue) {

@@ -252,7 +252,9 @@ TEST(ServeWorkload, DeterministicAndOrdered) {
     EXPECT_EQ(a[i].deadline.arrival_us, b[i].deadline.arrival_us);
     EXPECT_EQ(a[i].deadline.budget_us, cfg.deadline_us);
     EXPECT_LT(static_cast<int>(a[i].graph_id), pool.size());
-    if (i > 0) EXPECT_GT(a[i].deadline.arrival_us, a[i - 1].deadline.arrival_us);
+    if (i > 0) {
+      EXPECT_GT(a[i].deadline.arrival_us, a[i - 1].deadline.arrival_us);
+    }
     if (a[i].kind != serve::QueryKind::kSssp) saw_non_sssp = true;
   }
   EXPECT_TRUE(saw_non_sssp) << "kind mix collapsed to a single query type";

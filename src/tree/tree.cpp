@@ -1,6 +1,7 @@
 #include "src/tree/tree.h"
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,23 @@ Tree generate_tree(const TreeParams& params, std::uint64_t seed) {
           : (std::uint64_t{1} << (63 - params.sparsity)) * 2;  // 2^64/2^s
 
   Tree t;
+  if (params.sparsity == 0) {
+    // A full tree's size is known up front. Reserving it exactly spares the
+    // doubling growth, which for a multi-million-node tree costs more than
+    // the BFS below and sets the peak memory of whatever builds one.
+    constexpr std::uint64_t kMaxIds = std::numeric_limits<std::uint32_t>::max();
+    std::uint64_t nodes = 0, width = 1;
+    for (int l = 0; l <= params.depth && nodes <= kMaxIds; ++l) {
+      nodes += width;
+      width *= static_cast<std::uint64_t>(params.outdegree);
+    }
+    if (nodes <= kMaxIds) {
+      t.child_offsets.reserve(nodes + 1);
+      t.children.reserve(nodes - 1);
+      t.parent.reserve(nodes);
+      t.level.reserve(nodes);
+    }
+  }
   t.child_offsets.push_back(0);
   t.parent.push_back(Tree::kNoParent);
   t.level.push_back(0);

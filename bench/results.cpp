@@ -286,8 +286,11 @@ std::string to_serve_json(const SuiteResult& result) {
                ", \"unit\": " + json_str(ts.unit) + ", \"points\": [";
         for (std::size_t pi = 0; pi < ts.points.size(); ++pi) {
           if (pi != 0) out += ", ";
-          out += "[" + json_num(ts.points[pi].t_us) + ", " +
-                 json_num(ts.points[pi].value) + "]";
+          out += '[';
+          out += json_num(ts.points[pi].t_us);
+          out += ", ";
+          out += json_num(ts.points[pi].value);
+          out += ']';
         }
         out += "]}";
       }
@@ -397,6 +400,16 @@ namespace {
 // lane-histogram slots serialize sparsely (nonzero entries only) as
 // index-keyed objects, keeping smoke-scale files small and diffable.
 
+/// Appends one `"index": value` entry of a sparse index-keyed map. Built
+/// with `+=`: GCC 12 reports a false -Wrestrict on `"literal" + string&&`.
+void append_index_entry(std::string& out, std::uint64_t index,
+                        const std::string& value) {
+  out += '"';
+  out += std::to_string(index);
+  out += "\": ";
+  out += value;
+}
+
 std::string hist_json(const simt::ProfHistogram& h) {
   std::string out = "{\"count\": " + json_num(h.count) +
                     ", \"sum\": " + json_num(h.sum) +
@@ -407,7 +420,7 @@ std::string hist_json(const simt::ProfHistogram& h) {
     if (h.buckets[b] == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += "\"" + std::to_string(b) + "\": " + json_num(h.buckets[b]);
+    append_index_entry(out, b, json_num(h.buckets[b]));
   }
   out += "}}";
   return out;
@@ -446,7 +459,7 @@ std::string u32_map_json(const std::map<std::uint32_t, std::uint64_t>& m) {
   for (const auto& [k, v] : m) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + std::to_string(k) + "\": " + json_num(v);
+    append_index_entry(out, k, json_num(v));
   }
   out += "}";
   return out;
@@ -527,7 +540,7 @@ std::string to_json(const SuiteProfile& profile) {
       if (k.lane_hist[s] == 0) continue;
       if (!first) out += ", ";
       first = false;
-      out += "\"" + std::to_string(s) + "\": " + json_num(k.lane_hist[s]);
+      append_index_entry(out, s, json_num(k.lane_hist[s]));
     }
     out += "},\n     ";
     out += "\"warp_steps\": " + json_num(k.warp_steps) + ", ";

@@ -164,11 +164,13 @@ INSTANTIATE_TEST_SUITE_P(
     TreesAndBfs, RecPins, ::testing::ValuesIn(kRecPins),
     [](const ::testing::TestParamInfo<RecPin>& info) {
       const RecPin& p = info.param;
-      std::string n = p.work == kTree
-                          ? "tree_" + std::string(rec::name(p.algo))
-                          : std::string("bfs");
-      n += "_" + std::string(rec::name(p.tmpl)) + "_s" +
-           std::to_string(p.streams) + (p.refuse ? "_refused" : "");
+      std::string n = p.work == kTree ? "tree_" : "bfs";
+      if (p.work == kTree) n += rec::name(p.algo);
+      n += '_';
+      n += rec::name(p.tmpl);
+      n += "_s";
+      n += std::to_string(p.streams);
+      if (p.refuse) n += "_refused";
       for (char& c : n) {
         if (c == '-') c = '_';
       }

@@ -48,32 +48,6 @@ void RecOptions::validate() const {
 
 namespace {
 
-template <class Enum, class Range>
-Enum parse_enum(std::string_view s, const Range& all, const char* what) {
-  for (const Enum e : all) {
-    if (s == name(e)) return e;
-  }
-  std::string valid;
-  for (const Enum e : all) {
-    if (!valid.empty()) valid += ", ";
-    valid += name(e);
-  }
-  throw std::invalid_argument("unknown " + std::string(what) + " '" +
-                              std::string(s) + "' (valid: " + valid + ")");
-}
-
-}  // namespace
-
-RecTemplate parse_rec_template(std::string_view s) {
-  return parse_enum<RecTemplate>(s, kAllRecTemplates, "recursive template");
-}
-
-TreeAlgo parse_tree_algo(std::string_view s) {
-  return parse_enum<TreeAlgo>(s, kAllTreeAlgos, "tree algorithm");
-}
-
-namespace {
-
 /// Reduction semantics of the two traversals, shared by every template.
 struct TraversalOps {
   TreeAlgo algo;

@@ -48,9 +48,6 @@ inline constexpr RecTemplate kAllRecTemplates[] = {
 /// literal and never dangles.
 std::string_view name(RecTemplate t);
 
-/// Inverse of `name`; throws std::invalid_argument listing valid names.
-RecTemplate parse_rec_template(std::string_view s);
-
 /// The two tree traversal algorithms evaluated in §III.C. Both produce one
 /// uint32 per node, initialized to 1:
 ///  - kDescendants: value[v] = size of the subtree rooted at v (self included).
@@ -67,9 +64,6 @@ inline constexpr TreeAlgo kAllTreeAlgos[] = {
 
 /// Canonical algorithm name ("descendants" / "heights").
 std::string_view name(TreeAlgo a);
-
-/// Inverse of `name`; throws std::invalid_argument listing valid names.
-TreeAlgo parse_tree_algo(std::string_view s);
 
 /// The one tuning knob of the recursive templates, for trees and recursive
 /// BFS alike (block and grid sizes are fixed; see src/rec/recursion.h).

@@ -11,13 +11,6 @@ double TimeSeries::max_value() const {
   return m;
 }
 
-double TimeSeries::mean_value() const {
-  if (points.empty()) return 0.0;
-  double sum = 0.0;
-  for (const TimePoint& p : points) sum += p.value;
-  return sum / static_cast<double>(points.size());
-}
-
 Telemetry::Telemetry(double interval_us) : interval_us_(interval_us) {
   if (interval_us < 0.0) {
     throw std::invalid_argument("Telemetry: negative interval " +

@@ -24,9 +24,8 @@ struct TimeSeries {
   std::string unit;  ///< "queries", "state", "fraction", ...
   std::vector<TimePoint> points;
 
-  /// Rollups over the sample values (0 on an empty series).
+  /// Largest sample value (0 on an empty series).
   double max_value() const;
-  double mean_value() const;
 };
 
 /// Central metrics registry for one serving run. Owned by serve::Server and

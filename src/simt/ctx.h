@@ -38,10 +38,11 @@ struct ChildLaunchRecord {
 
 namespace detail {
 
-/// Outcome of one device-side launch attempt: the env-local child id when it
-/// succeeded, or the refusal reason (resource limit or injected fault).
+/// Outcome of one device-side launch attempt: the child's launch-graph node
+/// id when it succeeded, or the refusal reason (resource limit or injected
+/// fault).
 struct LaunchOutcome {
-  std::uint32_t local_id = kInvalidLaunchNode;
+  std::uint32_t id = kInvalidLaunchNode;
   SimtError error = SimtError::kOk;
 };
 
@@ -70,9 +71,9 @@ class BlockEnv {
   virtual const DeviceSpec& spec() const = 0;
   /// Record a device-side launch from `parent_block` of this env's grid and
   /// (unless `deferred`) execute it to completion. On success the outcome's
-  /// `local_id` is a child id local to this env's recording, later remapped
-  /// to a global node id; a refused launch carries the SimtError instead and
-  /// records nothing but the robustness counters. `k` is moved from only
+  /// `id` is the child's final launch-graph node id, appended at this call;
+  /// a refused launch carries the SimtError instead and records nothing but
+  /// the robustness counters. `k` is moved from only
   /// when a deferred launch succeeds, so a refused one can be retried.
   virtual LaunchOutcome launch_child(const LaunchConfig& cfg, Kernel& k,
                                      int parent_block, int extra_stream_slot,

@@ -74,7 +74,7 @@ struct RunReport {
   /// when nothing carried a serve context — all bench/profiling paths).
   CycleAttribution attribution;
   /// Timed grid slices for unified trace export; filled only when the
-  /// device's collect_slices switch is on (serving layer with --trace).
+  /// device's set_collect_slices switch is on (serving layer with --trace).
   std::vector<GridSlice> slices;
 
   /// Lookup a kernel summary by name; throws if absent.
@@ -181,7 +181,6 @@ class Device {
   /// (RunReport::slices) for unified trace timelines. Off by default; purely
   /// additive output, no modeled effect. Survives sessions and reset().
   void set_collect_slices(bool on) { collect_slices_ = on; }
-  bool collect_slices() const { return collect_slices_; }
 
   /// Engine policy for subsequent launches. Takes effect immediately; the
   /// thread pool is created lazily and kept across sessions.

@@ -24,8 +24,6 @@ struct ResourceLimits {
   /// Heap bytes each pending launch consumes from `device_heap_bytes`.
   std::size_t heap_bytes_per_launch = 1024;
 
-  /// Everything unlimited except the architectural depth limit (the default).
-  static ResourceLimits unlimited() { return ResourceLimits{}; }
   /// CUDA device-runtime defaults: 2048-slot pool, depth 24, 8MB heap.
   static ResourceLimits cdp_defaults();
 };

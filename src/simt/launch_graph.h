@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,9 +88,12 @@ struct KernelNode {
 };
 
 /// The whole recorded session: every grid launched (host or device), in
-/// functional execution order. Node ids index into `nodes`.
+/// creation order. Node ids index into `nodes`. A deque, so a node never
+/// moves once appended: the recorder fills a running grid's node in place
+/// while that grid's lanes append more, and a launch storm never holds two
+/// copies of the node array at once.
 struct LaunchGraph {
-  std::vector<KernelNode> nodes;
+  std::deque<KernelNode> nodes;
   std::uint32_t num_streams = 1;  ///< Dense stream ids are < num_streams.
 };
 

@@ -115,7 +115,6 @@ struct Metrics {
                : resident_warp_cycles /
                      (sm_active_cycles * static_cast<double>(max_warps_per_sm));
   }
-  std::uint64_t total_launches() const { return host_launches + device_launches; }
 
   Metrics& operator+=(const Metrics& o);
 

@@ -29,22 +29,6 @@ Kernel as_kernel(ThreadKernel body) {
 
 namespace detail {
 
-/// One device-side grid recorded while a block ran, in creation (DFS) order.
-/// Ids are local to the owning BlockRecord; the merge step remaps them to
-/// global node ids.
-struct ArenaNode {
-  LaunchConfig cfg;
-  Kernel kernel;                   ///< Retained only for deferred launches.
-  std::int64_t parent_local = -1;  ///< -1: the task's top-level grid.
-  std::int32_t parent_block = -1;
-  int stream_slot = -1;
-  std::uint32_t nest_depth = 0;
-  bool deferred = false;
-  std::vector<BlockCost> blocks;
-  Metrics metrics;
-  std::uint64_t hottest_atomic_ops = 0;
-};
-
 constexpr std::uint64_t kUnlimitedBudget = ~std::uint64_t{0};
 
 /// Launch-resource budget of one block of a host-recorded grid. The grid's
@@ -61,14 +45,21 @@ struct LaunchBudget {
   std::uint64_t heap_quota = kUnlimitedBudget;
 };
 
-/// Everything one block of a host-recorded grid records: its cost and
-/// metrics contributions and every grid its lanes launched (synchronous ones
-/// executed inline). Recycled for every block, so steady-state grids reuse
-/// its node storage.
+/// What one block of a host-recorded grid records outside the launch graph:
+/// its cost and metrics contributions, folded into the grid at merge, and
+/// the id range of the grids its lanes launched (nested ones included),
+/// which the merge gives their seq and stream id. Recycled for every block.
 struct BlockRecord {
   BlockCost cost;
   Metrics metrics;
-  std::vector<ArenaNode> nodes;
+  /// The block's grids are node ids [first_node, first_node +
+  /// stream_slots.size()), in creation (DFS) order.
+  std::uint32_t first_node = 0;
+  /// Extra-stream slot of each of those grids, indexed by id - first_node.
+  std::vector<int> stream_slots;
+  /// deferred_ entries before the block ran; a block that throws drops the
+  /// rest along with its nodes.
+  std::size_t first_deferred = 0;
   LaunchBudget budget;
 };
 
@@ -180,124 +171,128 @@ void validate_config(const DeviceSpec& spec, const LaunchConfig& cfg) {
   }
 }
 
-/// BlockEnv backing one running block. `node_local` selects the grid the
-/// block belongs to within the block record: -1 for the host-recorded grid
-/// (whose sinks live on the BlockRecord itself), otherwise an ArenaNode
-/// index. Arena entries are re-resolved on every access because launches
-/// performed by the kernel body grow the node vector.
-class EngineEnv final : public detail::BlockEnv {
+}  // namespace
+
+namespace detail {
+
+/// BlockEnv backing one running block of grid `grid`: the host-recorded
+/// grid, whose metrics sink is the BlockRecord's, or a synchronously
+/// launched nested grid, which records into its own node. Node references
+/// stay valid while lanes append nodes because the graph's deque never
+/// moves its elements.
+class EngineEnv final : public BlockEnv {
  public:
-  EngineEnv(detail::BlockRecord* rec, const DeviceSpec* spec, int max_depth,
-            std::int64_t node_local, std::uint32_t nest_depth,
-            AtomicHist* hist, const FaultInjector* injector, ThreadPool* pool)
-      : rec_(rec),
-        spec_(spec),
-        max_depth_(max_depth),
-        node_local_(node_local),
-        nest_depth_(nest_depth),
-        hist_(hist),
-        injector_(injector),
-        pool_(pool) {}
+  EngineEnv(Recorder* recorder, BlockRecord* rec, KernelNode* grid,
+            Metrics* sink, AtomicHist* hist)
+      : recorder_(recorder),
+        rec_(rec),
+        grid_(grid),
+        sink_(sink),
+        hist_(hist) {}
 
-  const DeviceSpec& spec() const override { return *spec_; }
+  const DeviceSpec& spec() const override { return recorder_->spec_; }
   AtomicHist& hist() override { return *hist_; }
-  ThreadPool* pool() const override { return pool_; }
-  Metrics& metrics() override {
-    return node_local_ < 0
-               ? rec_->metrics
-               : rec_->nodes[static_cast<std::size_t>(node_local_)].metrics;
-  }
+  ThreadPool* pool() const override { return recorder_->pool_; }
+  Metrics& metrics() override { return *sink_; }
   const FaultConfig& fault_config() const override {
-    static const FaultConfig kDefault{};
-    return injector_ != nullptr ? injector_->config() : kDefault;
+    return recorder_->injector_.config();
   }
 
-  detail::LaunchOutcome launch_child(const LaunchConfig& cfg, Kernel& k,
-                                     int parent_block, int extra_stream_slot,
-                                     bool deferred) override {
-    validate_config(*spec_, cfg);
-    detail::LaunchBudget& budget = rec_->budget;
+  LaunchOutcome launch_child(const LaunchConfig& cfg, Kernel& k,
+                             int parent_block, int extra_stream_slot,
+                             bool deferred) override {
+    const DeviceSpec& spec = recorder_->spec_;
+    const FaultInjector& injector = recorder_->injector_;
+    validate_config(spec, cfg);
+    LaunchBudget& budget = rec_->budget;
     RobustnessCounters& rb = metrics().robustness;
     ++rb.launches_attempted;
     // Stable per-attempt key: the block's (grid, block) hash mixed with the
     // attempt ordinal.
     const std::uint64_t attempt_key = fault_mix(budget.grid_key ^ budget.seq++);
-    const ResourceLimits& lim = spec_->limits;
-    const std::uint32_t child_depth = nest_depth_ + 1;
+    const ResourceLimits& lim = spec.limits;
+    const std::uint32_t child_depth = grid_->nest_depth + 1;
     SimtError err = SimtError::kOk;
-    if (child_depth > static_cast<std::uint32_t>(max_depth_)) {
+    if (child_depth > static_cast<std::uint32_t>(recorder_->max_depth_)) {
       err = SimtError::kDepthLimitExceeded;
       ++rb.refused_depth;
     } else if (budget.pool_used >= budget.pool_quota) {
       err = SimtError::kPendingPoolExhausted;
       ++rb.refused_pool;
-    } else if (budget.heap_quota != detail::kUnlimitedBudget &&
+    } else if (budget.heap_quota != kUnlimitedBudget &&
                budget.heap_used + lim.heap_bytes_per_launch >
                    budget.heap_quota) {
       err = SimtError::kDeviceHeapExhausted;
       ++rb.refused_heap;
-    } else if (injector_ != nullptr && injector_->enabled() &&
-               injector_->should_fail(FaultSite::kDeviceLaunch, attempt_key)) {
+    } else if (injector.enabled() &&
+               injector.should_fail(FaultSite::kDeviceLaunch, attempt_key)) {
       err = SimtError::kInjectedFault;
       ++rb.faults_injected;
     }
     if (err != SimtError::kOk) {
-      return detail::LaunchOutcome{kInvalidLaunchNode, err};
+      return LaunchOutcome{kInvalidLaunchNode, err};
     }
     ++budget.pool_used;
     budget.heap_used += lim.heap_bytes_per_launch;
-    const std::size_t local = rec_->nodes.size();
-    detail::ArenaNode n;
-    n.cfg = cfg;
-    n.parent_local = node_local_;
+    std::deque<KernelNode>& nodes = recorder_->graph_.nodes;
+    const auto id = static_cast<std::uint32_t>(nodes.size());
+    KernelNode& n = nodes.emplace_back();
+    n.id = id;
+    n.name = cfg.name;
+    n.origin = LaunchOrigin::kDevice;
+    n.grid_blocks = cfg.grid_blocks;
+    n.block_threads = cfg.block_threads;
+    n.smem_bytes = cfg.smem_bytes;
+    n.regs_per_thread = cfg.regs_per_thread;
+    n.aggregated_descriptors = cfg.aggregated_descriptors;
+    n.parent_kernel = grid_->id;
     n.parent_block = parent_block;
-    n.stream_slot = extra_stream_slot;
     n.nest_depth = child_depth;
-    n.deferred = deferred;
-    if (deferred) n.kernel = std::move(k);
-    rec_->nodes.push_back(std::move(n));
-    if (!deferred) run_nested_grid(local, k);
-    return detail::LaunchOutcome{static_cast<std::uint32_t>(local),
-                                 SimtError::kOk};
+    // Provenance: an explicit per-launch context wins; otherwise the child
+    // inherits its parent grid's stamp, which transitively carries the
+    // ambient serve context down through consolidated child grids.
+    if (cfg.trace.active()) {
+      n.batch_id = cfg.trace.batch_id;
+      n.requesters = cfg.trace.members;
+    } else {
+      n.batch_id = grid_->batch_id;
+      n.requesters = grid_->requesters;
+    }
+    rec_->stream_slots.push_back(extra_stream_slot);
+    if (deferred) {
+      recorder_->deferred_.emplace_back(id, std::move(k));
+    } else {
+      run_nested_grid(n, k);
+    }
+    return LaunchOutcome{id, SimtError::kOk};
   }
 
  private:
   /// Run a synchronously launched nested grid to completion, blocks in
   /// order, on the current thread; only the timing model makes it look
   /// concurrent.
-  void run_nested_grid(std::size_t local, const Kernel& k) {
-    const int nblocks = rec_->nodes[local].cfg.grid_blocks;
-    const int nthreads = rec_->nodes[local].cfg.block_threads;
-    const std::uint32_t depth = rec_->nodes[local].nest_depth;
+  void run_nested_grid(KernelNode& n, const Kernel& k) {
+    const int nblocks = n.grid_blocks;
     AtomicHist grid_hist;
-    std::vector<BlockCost> costs(static_cast<std::size_t>(nblocks));
-    const detail::ScratchLease scratch;
+    n.blocks.resize(static_cast<std::size_t>(nblocks));
+    const ScratchLease scratch;
     for (int b = 0; b < nblocks; ++b) {
-      EngineEnv env(rec_, spec_, max_depth_,
-                    static_cast<std::int64_t>(local), depth, &grid_hist,
-                    injector_, pool_);
-      BlockCtx blk(&env, scratch.get(), b, nthreads, nblocks);
+      EngineEnv env(recorder_, rec_, &n, &n.metrics, &grid_hist);
+      BlockCtx blk(&env, scratch.get(), b, n.block_threads, nblocks);
       k(blk);
-      costs[static_cast<std::size_t>(b)] = blk.finish();
+      n.blocks[static_cast<std::size_t>(b)] = blk.finish();
     }
-    // Re-fetch: the kernel body may have grown the arena.
-    detail::ArenaNode& n = rec_->nodes[local];
-    n.blocks = std::move(costs);
-    n.hottest_atomic_ops = std::max(n.hottest_atomic_ops,
-                                    grid_hist.max_count());
+    n.hottest_atomic_ops = grid_hist.max_count();
   }
 
-  detail::BlockRecord* rec_;
-  const DeviceSpec* spec_;
-  int max_depth_;
-  std::int64_t node_local_;
-  std::uint32_t nest_depth_;
+  Recorder* recorder_;
+  BlockRecord* rec_;
+  KernelNode* grid_;
+  Metrics* sink_;
   AtomicHist* hist_;
-  const FaultInjector* injector_;
-  ThreadPool* pool_;
 };
 
-}  // namespace
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // LaneCtx
@@ -319,8 +314,8 @@ LaunchResult LaneCtx::attempt(const LaunchConfig& cfg, Kernel& k, int slot,
     trace_->push(OpKind::kLaunchFail, 1, 0, 0);
     return LaunchResult{kInvalidLaunchNode, out.error};
   }
-  trace_->push_addr(OpKind::kLaunch, out.local_id);
-  return LaunchResult{out.local_id, SimtError::kOk};
+  trace_->push_addr(OpKind::kLaunch, out.id);
+  return LaunchResult{out.id, SimtError::kOk};
 }
 
 LaunchResult LaneCtx::launch(const LaunchConfig& cfg, Kernel k, int slot) {
@@ -626,9 +621,9 @@ LaunchResult Recorder::launch_host(const LaunchConfig& cfg, const Kernel& k,
 }
 
 void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
-  const int nblocks = graph_.nodes[node_id].grid_blocks;
-  const int nthreads = graph_.nodes[node_id].block_threads;
-  const std::uint32_t depth = graph_.nodes[node_id].nest_depth;
+  KernelNode& grid = graph_.nodes[node_id];
+  const int nblocks = grid.grid_blocks;
+  const int nthreads = grid.block_threads;
 
   // Per-block launch budget: the grid's pool/heap capacity split evenly
   // across its blocks (exhaustion must not depend on cross-block timing).
@@ -648,14 +643,15 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
   // Cleared here rather than after the grid, so a kernel that threw out of
   // an earlier grid cannot leak its counts into this one.
   grid_hist_.clear();
-  graph_.nodes[node_id].blocks.resize(static_cast<std::size_t>(nblocks));
+  grid.blocks.resize(static_cast<std::size_t>(nblocks));
 
   // Two blocks in the air: block b records while the pool is still reducing
   // block b-1's last warps, and b-1 is finished and merged once b's kernel
-  // body has returned. Merges stay in block order, so ids, sums and costs
-  // are those of recording one block at a time.
+  // body has returned. Block b-1's grids were all appended before b ran and
+  // merges stay in block order, so ids, seqs, sums and costs are those of
+  // recording one block at a time.
   const detail::ScratchLease scratch[2];
-  std::optional<EngineEnv> env[2];
+  std::optional<detail::EngineEnv> env[2];
   std::optional<BlockCtx> blk[2];
   int pending = -1;  // Recorded, not yet merged.
   const auto merge_pending = [&] {
@@ -666,20 +662,22 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
     env[b & 1].reset();
     merge_block(node_id, static_cast<std::size_t>(b), r);
   };
+  int b = 0;
   try {
-    for (int b = 0; b < nblocks; ++b) {
+    for (; b < nblocks; ++b) {
       // Recycled from an earlier block: drop its contents, keep its storage.
       detail::BlockRecord& r = records_[b & 1];
+      r.first_node = static_cast<std::uint32_t>(graph_.nodes.size());
+      r.first_deferred = deferred_.size();
+      r.stream_slots.clear();
       r.metrics = Metrics{};
-      r.nodes.clear();
       r.budget = budget0;
       // node_id is final before any block runs (host nodes are created up
-      // front, device nodes during the parent grid's merge).
+      // front, device nodes when their parent's lane launches them).
       r.budget.grid_key =
           fault_mix((static_cast<std::uint64_t>(node_id) << 24) ^
                     static_cast<std::uint64_t>(b));
-      env[b & 1].emplace(&r, &spec_, max_depth_, /*node_local=*/-1, depth,
-                         &grid_hist_, &injector_, pool_);
+      env[b & 1].emplace(this, &r, &grid, &r.metrics, &grid_hist_);
       blk[b & 1].emplace(&*env[b & 1], scratch[b & 1].get(), b, nthreads,
                          nblocks);
       k(*blk[b & 1]);
@@ -688,81 +686,32 @@ void Recorder::run_grid(std::uint32_t node_id, const Kernel& k) {
     }
     merge_pending();
   } catch (...) {
-    // The block after `pending` threw: merge `pending` as block-at-a-time
-    // recording would have, and drop the one that threw.
+    // Block b threw: drop the grids and deferred launches it recorded, and
+    // merge `pending` as block-at-a-time recording would have.
+    if (b < nblocks) {
+      const detail::BlockRecord& r = records_[b & 1];
+      graph_.nodes.resize(r.first_node);
+      deferred_.resize(r.first_deferred);
+    }
     if (pending >= 0) merge_pending();
     throw;
   }
-  graph_.nodes[node_id].hottest_atomic_ops = grid_hist_.max_count();
+  grid.hottest_atomic_ops = grid_hist_.max_count();
 }
 
 void Recorder::merge_block(std::uint32_t node_id, std::size_t b,
                            detail::BlockRecord& r) {
-  // Called in block order: node ids and launch seq numbers follow DFS
-  // creation order within a block, block-major across blocks. Stream
-  // interning happens here too, so dense stream ids follow the same order.
-  const std::uint32_t base = static_cast<std::uint32_t>(graph_.nodes.size());
-  // At most one reallocation per merge, and geometric growth: an exact
-  // reserve would move every earlier node on each merge that adds a device
-  // grid (quadratic in grids under launch storms), while growing one node
-  // at a time through a block that launched thousands of grids would hold
-  // the old and new node arrays at once, next to the block's records.
-  const std::size_t need = graph_.nodes.size() + r.nodes.size();
-  if (need > graph_.nodes.capacity()) {
-    graph_.nodes.reserve(std::max(need, 2 * graph_.nodes.capacity()));
-  }
-  for (ChildLaunch& c : r.cost.children) c.child_kernel += base;
-  {
-    KernelNode& root = graph_.nodes[node_id];
-    root.blocks[b] = std::move(r.cost);
-    root.metrics += r.metrics;
-  }
-  for (std::size_t j = 0; j < r.nodes.size(); ++j) {
-    detail::ArenaNode& ln = r.nodes[j];
-    // Built in place: KernelNode is four vectors, a string and a Metrics,
-    // so emplace-then-fill skips a full move of every merged node.
-    KernelNode& node = graph_.nodes.emplace_back();
-    node.id = base + static_cast<std::uint32_t>(j);
-    node.name = std::move(ln.cfg.name);
-    node.origin = LaunchOrigin::kDevice;
-    node.grid_blocks = ln.cfg.grid_blocks;
-    node.block_threads = ln.cfg.block_threads;
-    node.smem_bytes = ln.cfg.smem_bytes;
-    node.regs_per_thread = ln.cfg.regs_per_thread;
-    node.aggregated_descriptors = ln.cfg.aggregated_descriptors;
-    node.parent_kernel =
-        ln.parent_local < 0
-            ? static_cast<std::int64_t>(node_id)
-            : static_cast<std::int64_t>(base) + ln.parent_local;
-    node.parent_block = ln.parent_block;
-    node.nest_depth = ln.nest_depth;
+  // Called in block order, and a block's grids are numbered in DFS creation
+  // order, so seq numbers and dense stream ids follow node id order.
+  KernelNode& grid = graph_.nodes[node_id];
+  grid.blocks[b] = std::move(r.cost);
+  grid.metrics += r.metrics;
+  for (std::size_t j = 0; j < r.stream_slots.size(); ++j) {
+    KernelNode& node = graph_.nodes[r.first_node + j];
     node.stream = stream_id_for_device(
-        static_cast<std::uint32_t>(node.parent_kernel), ln.parent_block,
-        ln.stream_slot);
+        static_cast<std::uint32_t>(node.parent_kernel), node.parent_block,
+        r.stream_slots[j]);
     node.seq = seq_++;
-    // Provenance: an explicit per-launch context wins; otherwise the child
-    // inherits its parent grid's stamp (already merged — parents precede
-    // children in DFS creation order), which transitively carries the
-    // ambient serve context down through consolidated child grids.
-    if (ln.cfg.trace.active()) {
-      node.batch_id = ln.cfg.trace.batch_id;
-      node.requesters = ln.cfg.trace.members;
-    } else {
-      const KernelNode& parent =
-          graph_.nodes[static_cast<std::size_t>(node.parent_kernel)];
-      node.batch_id = parent.batch_id;
-      node.requesters = parent.requesters;
-    }
-    node.metrics = ln.metrics;
-    node.hottest_atomic_ops = ln.hottest_atomic_ops;
-    node.blocks = std::move(ln.blocks);
-    for (BlockCost& bc : node.blocks) {
-      for (ChildLaunch& c : bc.children) c.child_kernel += base;
-    }
-    if (ln.deferred) {
-      deferred_.emplace_back(base + static_cast<std::uint32_t>(j),
-                             std::move(ln.kernel));
-    }
   }
 }
 

@@ -19,6 +19,7 @@ class ThreadPool;
 
 namespace detail {
 struct BlockRecord;
+class EngineEnv;
 }  // namespace detail
 
 /// Functional pass: executes kernels eagerly (depth-first for nested
@@ -26,14 +27,17 @@ struct BlockRecord;
 /// per-kernel metrics, and a launch DAG for the timing pass.
 ///
 /// Engine structure: the blocks of a grid run one after another on the
-/// launching thread, each recording into a recycled detail::BlockRecord (its
-/// cost, its metrics contributions and, in creation order, every grid its
-/// lanes launched, executed inline) that is merged into the launch graph in
-/// block order. All lane code therefore runs on one thread, in (block, lane)
-/// order, under every engine. The only work a ThreadPool takes over is
-/// reducing finished warp traces into costs (BlockCtx), whose results are
-/// folded back in warp order; cycle counts and functional results are
-/// bit-identical across engines by construction.
+/// launching thread. A device launch appends its KernelNode to the launch
+/// graph, with its final id, the moment a lane makes it; a synchronous
+/// child then runs inline and records its blocks and metrics into that node
+/// in place. Each host-recorded block's own cost and metrics go into a
+/// recycled detail::BlockRecord, merged in block order, and the merge gives
+/// the grids the block created their launch seq and dense stream id. All
+/// lane code therefore runs on one thread, in (block, lane) order, under
+/// every engine, and node ids follow DFS creation order. The only work a
+/// ThreadPool takes over is reducing finished warp traces into costs
+/// (BlockCtx), whose results are folded back in warp order; cycle counts and
+/// functional results are bit-identical across engines by construction.
 class Recorder {
  public:
   explicit Recorder(const DeviceSpec& spec, int max_nesting_depth = 24);
@@ -81,16 +85,18 @@ class Recorder {
   /// Pure metadata: modeled cycles and functional results are unaffected.
   void set_trace_context(const TraceContext& ctx) { trace_ctx_ = ctx; }
   void clear_trace_context() { trace_ctx_ = TraceContext{}; }
-  const TraceContext& trace_context() const { return trace_ctx_; }
 
   void reset();
 
  private:
+  friend class detail::EngineEnv;
+
   std::uint32_t create_host_node(const LaunchConfig& cfg, std::uint32_t stream);
   /// Execute one recorded grid, block by block, merging the blocks' records
   /// in block order.
   void run_grid(std::uint32_t node_id, const Kernel& k);
-  /// Fold block `b`'s record into grid `node_id` and the launch graph.
+  /// Fold block `b`'s record into grid `node_id`, and give the grids the
+  /// block created their seq and dense stream id.
   void merge_block(std::uint32_t node_id, std::size_t b,
                    detail::BlockRecord& r);
 
@@ -107,14 +113,15 @@ class Recorder {
   std::uint64_t host_attempt_seq_ = 0;
   TraceContext trace_ctx_;
   LaunchGraph graph_;
-  /// Fire-and-forget device launches awaiting the post-grid drain.
+  /// Fire-and-forget device launches awaiting the post-grid drain, in
+  /// creation order.
   std::vector<std::pair<std::uint32_t, Kernel>> deferred_;
   /// Deterministic drain-order randomization (models the hardware's lack of
   /// cross-block launch ordering guarantees).
   std::mt19937_64 drain_rng_{0x9e3779b97f4a7c15ull};
   std::uint64_t seq_ = 0;
   /// Records of the two blocks run_grid keeps in the air, recycled across
-  /// blocks and grids so steady-state grids reuse their node storage.
+  /// blocks and grids.
   std::unique_ptr<detail::BlockRecord[]> records_;
   /// Atomic histogram of the grid being run, recycled across grids.
   AtomicHist grid_hist_;

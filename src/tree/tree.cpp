@@ -1,6 +1,7 @@
 #include "src/tree/tree.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -8,45 +9,49 @@
 
 namespace nestpar::tree {
 
-std::uint32_t Tree::max_level() const {
-  std::uint32_t m = 0;
-  for (std::uint32_t l : level) m = std::max(m, l);
-  return m;
-}
-
 std::pair<std::uint32_t, std::uint32_t> Tree::level_range(
     std::uint32_t l) const {
-  const auto first = std::lower_bound(level.begin(), level.end(), l);
-  const auto last = std::upper_bound(level.begin(), level.end(), l);
-  return {static_cast<std::uint32_t>(first - level.begin()),
-          static_cast<std::uint32_t>(last - level.begin())};
+  if (static_cast<std::size_t>(l) + 1 >= level_offsets.size()) {
+    return {num_nodes(), num_nodes()};
+  }
+  return {level_offsets[l], level_offsets[l + 1]};
 }
 
 void Tree::validate() const {
   const std::uint32_t n = num_nodes();
   if (n == 0) throw std::invalid_argument("tree: empty");
-  if (parent.size() != n || level.size() != n) {
+  if (parent.size() != n) {
     throw std::invalid_argument("tree: array size mismatch");
   }
   if (child_offsets.front() != 0 || child_offsets.back() != children.size()) {
     throw std::invalid_argument("tree: bad child offsets");
   }
-  if (parent[0] != kNoParent || level[0] != 0) {
+  if (level_offsets.size() < 2 || level_offsets.front() != 0 ||
+      level_offsets[1] != 1 || level_offsets.back() != n ||
+      std::adjacent_find(level_offsets.begin(), level_offsets.end(),
+                         std::greater_equal<>()) != level_offsets.end()) {
+    throw std::invalid_argument("tree: bad level offsets");
+  }
+  if (parent[0] != kNoParent) {
     throw std::invalid_argument("tree: node 0 must be the root");
   }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (child_offsets[v + 1] < child_offsets[v]) {
-      throw std::invalid_argument("tree: offsets not monotone");
-    }
-    for (std::uint32_t c : child_list(v)) {
-      if (c >= n) throw std::invalid_argument("tree: child out of range");
-      if (parent[c] != v) {
-        throw std::invalid_argument("tree: parent/child mismatch at " +
-                                    std::to_string(c));
+  for (std::uint32_t l = 0; l <= max_level(); ++l) {
+    const auto [first, last] = level_range(l);
+    const auto [next_first, next_last] = level_range(l + 1);
+    for (std::uint32_t v = first; v < last; ++v) {
+      if (child_offsets[v + 1] < child_offsets[v]) {
+        throw std::invalid_argument("tree: offsets not monotone");
       }
-      if (level[c] != level[v] + 1) {
-        throw std::invalid_argument("tree: level mismatch at " +
-                                    std::to_string(c));
+      for (std::uint32_t c : child_list(v)) {
+        if (c >= n) throw std::invalid_argument("tree: child out of range");
+        if (parent[c] != v) {
+          throw std::invalid_argument("tree: parent/child mismatch at " +
+                                      std::to_string(c));
+        }
+        if (c < next_first || c >= next_last) {
+          throw std::invalid_argument("tree: level mismatch at " +
+                                      std::to_string(c));
+        }
       }
     }
   }
@@ -78,18 +83,23 @@ Tree generate_tree(const TreeParams& params, std::uint64_t seed) {
       t.child_offsets.reserve(nodes + 1);
       t.children.reserve(nodes - 1);
       t.parent.reserve(nodes);
-      t.level.reserve(nodes);
     }
   }
   t.child_offsets.push_back(0);
   t.parent.push_back(Tree::kNoParent);
-  t.level.push_back(0);
+  t.level_offsets = {0, 1};
 
-  // BFS frontier construction; node ids are assigned in BFS order.
+  // BFS frontier construction; node ids are assigned in BFS order. When the
+  // scan reaches the first node of a level, that whole level has been
+  // placed, so it ends at the current node count.
   std::uint32_t next_unprocessed = 0;
+  std::uint32_t lvl = 0;
   while (next_unprocessed < t.parent.size()) {
     const std::uint32_t v = next_unprocessed++;
-    const std::uint32_t lvl = t.level[v];
+    if (v == t.level_offsets.back()) {
+      ++lvl;
+      t.level_offsets.push_back(static_cast<std::uint32_t>(t.parent.size()));
+    }
     bool expand = lvl < static_cast<std::uint32_t>(params.depth);
     if (expand && v != 0 && params.sparsity > 0) {
       expand = threshold == 0 ? false : (rng() < threshold);
@@ -99,7 +109,6 @@ Tree generate_tree(const TreeParams& params, std::uint64_t seed) {
         const auto id = static_cast<std::uint32_t>(t.parent.size());
         t.children.push_back(id);
         t.parent.push_back(v);
-        t.level.push_back(lvl + 1);
       }
     }
     t.child_offsets.push_back(static_cast<std::uint32_t>(t.children.size()));

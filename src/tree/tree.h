@@ -8,12 +8,15 @@
 namespace nestpar::tree {
 
 /// Rooted tree in children-CSR layout (node 0 is the root). Nodes are
-/// numbered in BFS order, so `level` is monotone in the node id.
+/// numbered in BFS order, so each level is one contiguous id range.
 struct Tree {
   std::vector<std::uint32_t> child_offsets;  ///< Size num_nodes()+1.
   std::vector<std::uint32_t> children;       ///< Concatenated child lists.
   std::vector<std::uint32_t> parent;         ///< parent[0] == kNoParent.
-  std::vector<std::uint32_t> level;          ///< Root has level 0.
+  /// Level l is ids [level_offsets[l], level_offsets[l+1]); only non-empty
+  /// levels are stored, so the size is max_level() + 2. The root alone is
+  /// level 0.
+  std::vector<std::uint32_t> level_offsets;
 
   static constexpr std::uint32_t kNoParent = 0xffffffffu;
 
@@ -29,14 +32,17 @@ struct Tree {
     return {children.data() + child_offsets[v], num_children(v)};
   }
   bool is_leaf(std::uint32_t v) const { return num_children(v) == 0; }
-  std::uint32_t max_level() const;
+  std::uint32_t max_level() const {
+    return level_offsets.size() < 2
+               ? 0
+               : static_cast<std::uint32_t>(level_offsets.size() - 2);
+  }
 
-  /// Nodes are BFS-ordered, so each level is one contiguous id range:
-  /// returns [first, last) of level `l` (empty range if the level is absent).
+  /// [first, last) of level `l` (empty range if the level is absent).
   std::pair<std::uint32_t, std::uint32_t> level_range(std::uint32_t l) const;
 
   /// Structural invariants: consistent offsets, parent/child agreement,
-  /// BFS-ordered levels. Throws std::invalid_argument.
+  /// each child one level below its parent. Throws std::invalid_argument.
   void validate() const;
 };
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -395,6 +397,144 @@ TEST(GraphDeterminism, RecHierBfsGraphMatchesNodeByNode) {
   const simt::LaunchGraph p = record(kParallel);
   EXPECT_GT(s.nodes.size(), 100u);
   expect_same_graph(s, p);
+}
+
+// A nested launch storm with a hand-checkable launch graph. Host grid "root"
+// has two blocks of 64 threads. In each block, lane 0 launches a synchronous
+// "mid" grid, whose lane 0 launches a synchronous "leaf" into extra stream
+// slot 0 and then an async "late"; lane 33 (the second warp) launches an
+// async "side" into slot 0. Block `throw_block`'s lane 40 then throws, after
+// its launches (-1: no block throws).
+void launch_storm(simt::Device& dev, int throw_block) {
+  const auto cfg = [](const char* name, int blocks, int threads) {
+    simt::LaunchConfig c;
+    c.name = name;
+    c.grid_blocks = blocks;
+    c.block_threads = threads;
+    return c;
+  };
+  const simt::Kernel idle = simt::as_kernel([](simt::LaneCtx& t) {
+    t.compute(3);
+  });
+  dev.launch_threads(cfg("root", 2, 64), [&](simt::LaneCtx& t) {
+    t.compute(1);
+    if (t.thread_idx() == 0) {
+      EXPECT_TRUE(t.launch_threads(cfg("mid", 1, 32), [&](simt::LaneCtx& m) {
+        if (m.thread_idx() != 0) return;
+        EXPECT_TRUE(m.launch(cfg("leaf", 1, 32), idle, /*slot=*/0));
+        EXPECT_TRUE(m.launch_async(cfg("late", 1, 32), idle));
+      }));
+    }
+    if (t.thread_idx() == 33) {
+      EXPECT_TRUE(t.launch_async(cfg("side", 1, 32), idle, /*slot=*/0));
+    }
+    if (t.thread_idx() == 40 && t.block_idx() == throw_block) {
+      throw std::runtime_error("storm kernel failed");
+    }
+  });
+}
+
+// One expected node of the storm's launch graph.
+struct StormNode {
+  const char* name;
+  std::int64_t parent_kernel;
+  std::int32_t parent_block;
+  int slot;  ///< Extra-stream slot of the launch (-1: the default child one).
+  std::vector<std::vector<std::uint32_t>> children;  ///< Per block.
+};
+
+// The DFS rule: ids follow creation order (block-major, then lane order,
+// with a synchronous child's own launches numbered before the launching
+// lane's next one), `seq` equals the id, and dense stream ids are interned
+// in id order from (parent grid, parent block, slot), after the host
+// grid's default stream 0.
+void expect_dfs_graph(const simt::LaunchGraph& g,
+                      const std::vector<StormNode>& want) {
+  ASSERT_EQ(g.nodes.size(), want.size());
+  std::map<std::tuple<std::int64_t, std::int32_t, int>, std::uint32_t> streams;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const simt::KernelNode& n = g.nodes[i];
+    const StormNode& w = want[i];
+    SCOPED_TRACE("node " + std::to_string(i) + " " + w.name);
+    EXPECT_EQ(n.id, i);
+    EXPECT_EQ(n.name, w.name);
+    EXPECT_EQ(n.parent_kernel, w.parent_kernel);
+    EXPECT_EQ(n.parent_block, w.parent_block);
+    EXPECT_EQ(n.seq, i);
+    std::uint32_t stream = 0;
+    if (w.parent_kernel >= 0) {
+      const auto key = std::make_tuple(w.parent_kernel, w.parent_block, w.slot);
+      stream = streams
+                   .try_emplace(key, static_cast<std::uint32_t>(
+                                         streams.size() + 1))
+                   .first->second;
+    }
+    EXPECT_EQ(n.stream, stream);
+    ASSERT_EQ(n.blocks.size(), w.children.size());
+    for (std::size_t b = 0; b < w.children.size(); ++b) {
+      std::vector<std::uint32_t> got;
+      for (const simt::ChildLaunch& c : n.blocks[b].children) {
+        got.push_back(c.child_kernel);
+      }
+      EXPECT_EQ(got, w.children[b]) << "block " << b;
+    }
+  }
+  EXPECT_EQ(g.num_streams, streams.size() + 1);
+}
+
+const std::vector<simt::ExecPolicy> kStormPolicies = {
+    simt::ExecPolicy::serial(), simt::ExecPolicy::parallel(2)};
+
+TEST(GraphDeterminism, NestedStormFollowsDfsRule) {
+  const std::vector<StormNode> want = {
+      {"root", -1, -1, -1, {{1, 4}, {5, 8}}},
+      {"mid", 0, 0, -1, {{2, 3}}},
+      {"leaf", 1, 0, 0, {{}}},
+      {"late", 1, 0, -1, {{}}},
+      {"side", 0, 0, 0, {{}}},
+      {"mid", 0, 1, -1, {{6, 7}}},
+      {"leaf", 5, 0, 0, {{}}},
+      {"late", 5, 0, -1, {{}}},
+      {"side", 0, 1, 0, {{}}},
+  };
+  simt::Device dev;
+  for (const simt::ExecPolicy& policy : kStormPolicies) {
+    SCOPED_TRACE(policy.mode == simt::ExecMode::kSerial ? "serial"
+                                                        : "parallel(2)");
+    simt::Session session = dev.session(policy);
+    launch_storm(dev, /*throw_block=*/-1);
+    expect_dfs_graph(dev.graph(), want);
+  }
+}
+
+TEST(GraphDeterminism, ThrowingBlockLeavesNoNodes) {
+  // Block 1 throws after its lanes launched four grids: only the host grid
+  // and block 0's grids remain, with block 0's seqs and streams. The async
+  // grids never ran (the drain follows the host grid), so they have no
+  // blocks, and block 1 never merged its cost.
+  const std::vector<StormNode> want = {
+      {"root", -1, -1, -1, {{1, 4}, {}}},
+      {"mid", 0, 0, -1, {{2, 3}}},
+      {"leaf", 1, 0, 0, {{}}},
+      {"late", 1, 0, -1, {}},
+      {"side", 0, 0, 0, {}},
+  };
+  simt::Device dev;
+  for (const simt::ExecPolicy& policy : kStormPolicies) {
+    SCOPED_TRACE(policy.mode == simt::ExecMode::kSerial ? "serial"
+                                                        : "parallel(2)");
+    simt::Session session = dev.session(policy);
+    EXPECT_THROW(launch_storm(dev, /*throw_block=*/1), std::runtime_error);
+    expect_dfs_graph(dev.graph(), want);
+    // The session goes on: the next host grid takes the next id and seq, and
+    // its drain must not meet the dropped block's async grids.
+    simt::LaunchConfig next;
+    next.name = "next";
+    dev.launch_threads(next, [](simt::LaneCtx& t) { t.compute(1); });
+    ASSERT_EQ(dev.graph().nodes.size(), want.size() + 1);
+    EXPECT_EQ(dev.graph().nodes.back().name, "next");
+    EXPECT_EQ(dev.graph().nodes.back().seq, want.size());
+  }
 }
 
 // --- synthetic coverage: streams, events, async nested launches ----------------

@@ -2,7 +2,10 @@
 // matrix substrate tests, plus the CPU cost-model cache simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/matrix/csr_matrix.h"
 #include "src/simt/cpu_model.h"
@@ -68,9 +71,64 @@ TEST(TreeGen, DeterministicInSeed) {
 TEST(TreeGen, BfsOrderMeansLevelsMonotone) {
   const t::Tree tr =
       t::generate_tree({.depth = 4, .outdegree = 4, .sparsity = 1}, 9);
-  for (std::uint32_t v = 1; v < tr.num_nodes(); ++v) {
-    EXPECT_GE(tr.level[v], tr.level[v - 1]);
+  ASSERT_EQ(tr.level_offsets.size(), tr.max_level() + 2u);
+  EXPECT_EQ(tr.level_offsets.front(), 0u);
+  EXPECT_EQ(tr.level_offsets[1], 1u);  // The root alone.
+  EXPECT_EQ(tr.level_offsets.back(), tr.num_nodes());
+  for (std::size_t l = 1; l < tr.level_offsets.size(); ++l) {
+    EXPECT_GT(tr.level_offsets[l], tr.level_offsets[l - 1]);
   }
+}
+
+// Each node's level, recomputed from `parent` alone (a parent precedes its
+// children in BFS order).
+std::vector<std::uint32_t> levels_from_parents(const t::Tree& tr) {
+  std::vector<std::uint32_t> level(tr.num_nodes(), 0);
+  for (std::uint32_t v = 1; v < tr.num_nodes(); ++v) {
+    level[v] = level[tr.parent[v]] + 1;
+  }
+  return level;
+}
+
+// Each node's level, read back from `level_range`.
+std::vector<std::uint32_t> levels_from_ranges(const t::Tree& tr) {
+  std::vector<std::uint32_t> level(tr.num_nodes(), 0);
+  for (std::uint32_t l = 0; l <= tr.max_level(); ++l) {
+    const auto [first, last] = tr.level_range(l);
+    for (std::uint32_t v = first; v < last; ++v) level[v] = l;
+  }
+  return level;
+}
+
+TEST(TreeGen, LevelRangesMatchParentLevels) {
+  for (const int sparsity : {0, 1, 2, 5}) {
+    SCOPED_TRACE(sparsity);
+    const t::Tree tr = t::generate_tree(
+        {.depth = 4, .outdegree = 6, .sparsity = sparsity}, 11);
+    const std::vector<std::uint32_t> expect = levels_from_parents(tr);
+    EXPECT_EQ(tr.max_level(), *std::max_element(expect.begin(), expect.end()));
+    for (std::uint32_t l = 0; l <= tr.max_level() + 1; ++l) {
+      const auto first = static_cast<std::uint32_t>(
+          std::lower_bound(expect.begin(), expect.end(), l) - expect.begin());
+      const auto last = static_cast<std::uint32_t>(
+          std::upper_bound(expect.begin(), expect.end(), l) - expect.begin());
+      EXPECT_EQ(tr.level_range(l), std::make_pair(first, last)) << "level " << l;
+    }
+    EXPECT_EQ(levels_from_ranges(tr), expect);
+  }
+}
+
+TEST(TreeGen, SparseTreeStopsBeforeDepth) {
+  // sparsity >= 63 expands only the root, so levels 2..depth are absent:
+  // they read as empty ranges past the last node.
+  const t::Tree tr =
+      t::generate_tree({.depth = 6, .outdegree = 3, .sparsity = 63}, 1);
+  EXPECT_EQ(tr.num_nodes(), 4u);
+  EXPECT_EQ(tr.max_level(), 1u);
+  EXPECT_EQ(tr.level_range(1), std::make_pair(1u, 4u));
+  EXPECT_EQ(tr.level_range(2), std::make_pair(4u, 4u));
+  EXPECT_EQ(tr.level_range(6), std::make_pair(4u, 4u));
+  EXPECT_NO_THROW(tr.validate());
 }
 
 TEST(TreeGen, RejectsBadParams) {
@@ -83,11 +141,12 @@ TEST(TreeGen, RejectsBadParams) {
 }
 
 // Every tree input starts here, so the generator's output is pinned byte for
-// byte: an FNV-1a hash over the raw bytes of all four arrays. A speed-up of
-// the generator must leave both values unchanged.
+// byte: an FNV-1a hash over the raw bytes of the three CSR arrays and the
+// per-node level array that `level_range` implies. A speed-up of the
+// generator must leave both values unchanged.
 std::uint64_t tree_hash(const t::Tree& tr) {
   return nestpar::test::fnv1a(tr.child_offsets, tr.children, tr.parent,
-                              tr.level);
+                              levels_from_ranges(tr));
 }
 
 TEST(TreeGen, PinnedBytes) {
@@ -103,6 +162,17 @@ TEST(TreeValidate, CatchesCorruption) {
   t::Tree tr = t::generate_tree({.depth = 2, .outdegree = 2}, 0);
   tr.parent[3] = 0xdead;
   EXPECT_THROW(tr.validate(), std::invalid_argument);
+}
+
+TEST(TreeValidate, CatchesBadLevelOffsets) {
+  const t::Tree good = t::generate_tree({.depth = 2, .outdegree = 2}, 0);
+  ASSERT_NO_THROW(good.validate());
+  t::Tree shifted = good;  // Level 1 = {1} and level 2 = {2..6}: wrong.
+  shifted.level_offsets[2] = 2;
+  EXPECT_THROW(shifted.validate(), std::invalid_argument);
+  t::Tree short_end = good;  // Last node outside every level.
+  short_end.level_offsets.back() -= 1;
+  EXPECT_THROW(short_end.validate(), std::invalid_argument);
 }
 
 // --- Matrix ------------------------------------------------------------------

@@ -12,14 +12,15 @@
 //   nestpar_bench --smoke [--out=DIR]    run every suite on its fast smoke
 //                                        flags and validate that the emitted
 //                                        JSON parses back (CI entry point)
-//   nestpar_bench ... --profile          turn on the simt::Profiler for each
-//                                        run; with --out=DIR also writes one
-//                                        PROF_<suite>.json per suite
+//   nestpar_bench ... --profile          record one simt::Profile per suite;
+//                                        with --out=DIR also writes it as
+//                                        PROF_<suite>.json
 //   nestpar_bench ... --verbose|--quiet  raise/lower the stderr log level
 //
 // Exit codes: 0 success, 1 a suite failed or its JSON failed validation,
 // 2 usage or I/O error.
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,10 +46,10 @@ constexpr const char* kUsage =
     "  --smoke       run every suite with its fast smoke flags and validate\n"
     "                the JSON it produces round-trips through the parser\n"
     "  --out=DIR     write BENCH_<suite>.json for each suite run to DIR\n"
-    "  --profile     collect load-imbalance/warp/nesting distributions (the\n"
-    "                simt::Profiler; also via NESTPAR_PROFILE=1) and, with\n"
-    "                --out=DIR, write PROF_<suite>.json per suite\n"
-    "  --verbose     show info/debug diagnostics on stderr\n"
+    "  --profile     collect load-imbalance/warp/nesting distributions, one\n"
+    "                profile per suite, and with --out=DIR write each as\n"
+    "                PROF_<suite>.json\n"
+    "  --verbose     show debug diagnostics on stderr\n"
     "  --quiet       suppress warnings (errors still print)";
 
 void list_suites() {
@@ -74,18 +75,20 @@ std::vector<std::string> suite_args(const bench::SuiteSpec& spec, bool smoke,
 
 // Runs one suite on the given flags. Writes DIR/BENCH_<suite>.json when
 // out_dir is set; when validate is set, additionally re-parses the JSON and
-// checks the record count survived the round trip. When profiling is on, the
-// profiler is reset before the run and its snapshot written as
-// DIR/PROF_<suite>.json afterwards, so each suite gets its own profile.
+// checks the record count survived the round trip. With `profiling` set, the
+// suite runs under its own simt::ProfileScope and the profile is written as
+// DIR/PROF_<suite>.json afterwards.
 int run_suite(const bench::SuiteSpec& spec,
               const std::vector<std::string>& flags,
-              const std::string& out_dir, bool validate) {
+              const std::string& out_dir, bool validate, bool profiling) {
   const std::string name(spec.name);
   const bench::Args args(flags, spec.usage);
-  if (simt::Profiler::enabled()) simt::Profiler::instance().reset();
+  bench::SuiteProfile profile{name, {}};
   bench::SuiteResult result;
   int rc = 0;
   try {
+    std::optional<simt::ProfileScope> scope;
+    if (profiling) scope.emplace(profile.prof);
     rc = spec.run(args, result);
   } catch (const std::invalid_argument& e) {
     slog::error("suite '%s': %s\n", name.c_str(), e.what());
@@ -130,10 +133,7 @@ int run_suite(const bench::SuiteSpec& spec,
         const std::string spath = bench::write_serve_file(result, out_dir);
         std::printf("[out] wrote %s\n", spath.c_str());
       }
-      if (simt::Profiler::enabled()) {
-        bench::SuiteProfile profile;
-        profile.suite = name;
-        profile.prof = simt::Profiler::instance().snapshot();
+      if (profiling) {
         const std::string ppath = bench::write_profile_file(profile, out_dir);
         std::printf("[out] wrote %s\n", ppath.c_str());
       }
@@ -152,6 +152,7 @@ int main(int argc, char** argv) {
   bool all = false;
   bool smoke = false;
   bool help = false;
+  bool profiling = false;
   std::string suite;
   std::string out_dir;
   std::vector<std::string> forwarded;
@@ -166,7 +167,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--profile") {
-      simt::Profiler::set_enabled(true);
+      profiling = true;
     } else if (arg == "--verbose") {
       slog::set_level(slog::Level::kDebug);
     } else if (arg == "--quiet") {
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     return run_suite(*spec, suite_args(*spec, smoke, forwarded), out_dir,
-                     smoke);
+                     smoke, profiling);
   }
   if (all || smoke) {
     if (!forwarded.empty()) {
@@ -215,8 +216,8 @@ int main(int argc, char** argv) {
       std::printf("\n### %s\n", std::string(spec.name).c_str());
       slog::debug("[bench] starting suite '%s'\n",
                   std::string(spec.name).c_str());
-      const int rc =
-          run_suite(spec, suite_args(spec, smoke, {}), out_dir, smoke);
+      const int rc = run_suite(spec, suite_args(spec, smoke, {}), out_dir,
+                               smoke, profiling);
       if (rc > worst) worst = rc;
     }
     return worst;

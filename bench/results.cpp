@@ -508,7 +508,7 @@ simt::CritAttribution parse_crit_attr(const JsonObject& obj) {
 }  // namespace
 
 std::string to_json(const SuiteProfile& profile) {
-  const simt::ProfileSnapshot& p = profile.prof;
+  const simt::Profile& p = profile.prof;
   std::string out;
   out += "{\n";
   out += "  \"schema_version\": " + std::to_string(kProfileSchemaVersion) +
@@ -634,7 +634,7 @@ SuiteProfile parse_profile_json(const std::string& text) {
   check_schema_version(root, "profile", kProfileSchemaVersion);
   SuiteProfile profile;
   profile.suite = require_str(root, "suite");
-  simt::ProfileSnapshot& p = profile.prof;
+  simt::Profile& p = profile.prof;
   p.total_cycles = require_num(root, "total_cycles");
   p.reports = require_u64(root, "reports");
   p.grids = require_u64(root, "grids");

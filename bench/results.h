@@ -178,11 +178,11 @@ SuiteResult load_serve_file(const std::string& path);
 /// rejects any other version.
 inline constexpr int kProfileSchemaVersion = 2;
 
-/// One suite's profile: the simt::Profiler snapshot taken right after the
-/// suite ran with profiling on, written as one `PROF_<suite>.json` file.
+/// One suite's profile: everything recorded while the suite ran under its
+/// own simt::ProfileScope, written as one `PROF_<suite>.json` file.
 struct SuiteProfile {
   std::string suite;  ///< Registry name, also the JSON file stem.
-  simt::ProfileSnapshot prof;
+  simt::Profile prof;
 };
 
 /// Serialize to the schema-versioned profile JSON document (stable field

@@ -18,6 +18,7 @@
 #include "src/matrix/csr_matrix.h"
 #include "src/nested/autotune.h"
 #include "src/nested/flatten.h"
+#include "src/simt/profiler.h"
 #include "src/simt/trace_export.h"
 
 using namespace nestpar;
@@ -36,7 +37,8 @@ void usage() {
       "    --scale=F         generator scale (default 0.02)\n"
       "    --template=NAME   skip autotuning and use this template\n"
       "                      (baseline, dual-queue, dbuf-shared, ...)\n"
-      "    --trace=FILE      write a Chrome trace of the best schedule\n");
+      "    --trace=FILE      write a Chrome trace of the best schedule,\n"
+      "                      with its profile counters\n");
 }
 
 std::string flag_value(int argc, char** argv, const char* name) {
@@ -126,6 +128,10 @@ int run(int argc, char** argv) {
 
   if (const auto tf = flag_value(argc, argv, "--trace"); !tf.empty()) {
     simt::Device dev;
+    // Profile this session alone, so the trace's counter tracks come from
+    // the traced schedule and not from the sweep above.
+    simt::Profile profile;
+    const simt::ProfileScope scope(profile);
     // The session must stay open until the trace is written: its destructor
     // clears the recorded launch graph the trace is built from.
     simt::Session session = dev.session();

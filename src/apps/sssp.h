@@ -34,8 +34,9 @@ SsspResult run_sssp(simt::Device& dev, const graph::Csr& g, std::uint32_t src,
 std::vector<float> sssp_serial(const graph::Csr& g, std::uint32_t src,
                                simt::CpuTimer* timer = nullptr);
 
-/// Serial Dijkstra (binary heap) — an independent oracle used by the tests
-/// to validate both the GPU variants and the SPFA reference.
+/// Serial Dijkstra (binary heap).
+/// Test oracle: independent of SPFA, it validates both the GPU variants and
+/// the SPFA reference.
 std::vector<float> sssp_serial_dijkstra(const graph::Csr& g, std::uint32_t src,
                                         simt::CpuTimer* timer = nullptr);
 

@@ -51,6 +51,7 @@ Csr generate_wikivote_like(double scale, std::uint64_t seed,
 /// edges_per_node * 2^scale edges, recursive quadrant probabilities
 /// (a, b, c; d = 1-a-b-c). Produces the skewed, community-like structure
 /// of real-world graphs.
+/// Test oracle: a pinned skewed input for the k-core template tests.
 Csr generate_rmat(int scale, int edges_per_node, std::uint64_t seed,
                   double a = 0.57, double b = 0.19, double c = 0.19,
                   bool weighted = false);

@@ -36,12 +36,14 @@ class IoError : public std::runtime_error {
 /// arcs (1-based). Weighted CSR.
 Csr load_dimacs(std::istream& in);
 Csr load_dimacs_file(const std::string& path);
+/// Test oracle: writes the format back for the readers' round-trip tests.
 void write_dimacs(std::ostream& out, const Csr& g);
 
 /// SNAP-style edge list: `#` comments, `<u> <v>` per line (0-based).
 /// `num_nodes` is inferred as max endpoint + 1.
 Csr load_edge_list(std::istream& in);
 Csr load_edge_list_file(const std::string& path);
+/// Test oracle: writes the format back for the readers' round-trip tests.
 void write_edge_list(std::ostream& out, const Csr& g);
 
 /// MatrixMarket coordinate format (general real/pattern). Returns the

@@ -31,7 +31,8 @@ struct FlattenParams {
 };
 
 /// Run the workload once, flattened. Functional results land in the
-/// workload's arrays; model time and metrics come from `dev.report()`.
+/// workload's arrays; model time and metrics come from the report of the
+/// Session the caller opened on `dev`.
 void run_flattened(simt::Device& dev, const NestedLoopWorkload& w,
                    const FlattenParams& p = {});
 

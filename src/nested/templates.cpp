@@ -350,7 +350,7 @@ void run_dual_queue(Device& dev, const NestedLoopWorkload& w,
   // Profiling telemetry: the dual-queue split sizes, attributed to the build
   // kernel about to launch. Gated here (not just inside prof_counter) because
   // kname() allocates.
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     dev.prof_counter(kname(w, LoopTemplate::kDualQueue, "small_count"),
                      static_cast<double>(q.small_count));
     dev.prof_counter(kname(w, LoopTemplate::kDualQueue, "big_count"),
@@ -383,7 +383,7 @@ void run_dual_queue(Device& dev, const NestedLoopWorkload& w,
   // Phase 2: the two queues are independent, so their kernels run in
   // separate streams gated on the build kernel's event (the natural CUDA
   // implementation: record after build, wait in both worker streams).
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     dev.prof_instant(kname(w, LoopTemplate::kDualQueue, "flush"), "queue");
   }
   const simt::StreamHandle small_stream{1}, big_stream{2};
@@ -417,7 +417,7 @@ void run_dbuf_global(Device& dev, const NestedLoopWorkload& w,
                      const LoopParams& p) {
   const std::int64_t n = w.size();
   const QueuePlacement q = build_placement(w, p.lb_threshold);
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     dev.prof_counter(kname(w, LoopTemplate::kDbufGlobal, "deferred"),
                      static_cast<double>(q.big_count));
   }
@@ -434,7 +434,7 @@ void run_dbuf_global(Device& dev, const NestedLoopWorkload& w,
 
   // Phase 2: the buffer is partitioned fairly across a fresh grid of blocks
   // (the inter-block redistribution dbuf-shared cannot do).
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     dev.prof_instant(kname(w, LoopTemplate::kDbufGlobal, "flush"), "queue");
   }
   launch_block_mapped_buffer(dev, w, LoopTemplate::kDbufGlobal, "buffer",
@@ -458,7 +458,7 @@ void run_dbuf_shared(Device& dev, const NestedLoopWorkload& w,
   // iterations g, g+grid_threads, ...; g's block is (g % grid_threads) /
   // block_threads). Deferrals past the buffer capacity fall back to inline
   // processing, so occupancy is clamped at `cap`.
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     const std::int64_t grid_threads =
         static_cast<std::int64_t>(cfg.grid_blocks) * cfg.block_threads;
     std::vector<std::int64_t> deferred(
@@ -752,7 +752,7 @@ void run_cons_grid(Device& dev, const NestedLoopWorkload& w,
                    const LoopParams& p) {
   const std::int64_t n = w.size();
   const QueuePlacement q = build_placement(w, p.lb_threshold);
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     dev.prof_counter(kname(w, LoopTemplate::kConsGrid, "deferred"),
                      static_cast<double>(q.big_count));
   }

@@ -113,9 +113,9 @@ LoopTemplate parse_loop_template(std::string_view s);
 /// Everything one execution needs: the template, its tuning knobs, and —
 /// optionally — an ExecPolicy. With a policy set, run_nested_loop opens a
 /// fresh session under it and the returned RunResult carries the report for
-/// exactly that execution; without one, the run records into the device's
-/// ambient session (callers time it via dev.report()) and the returned
-/// report is empty.
+/// exactly that execution; without one, the run records into the Session
+/// the caller opened on the device (and times it with that Session's
+/// report()) and the returned report is empty.
 struct LoopRun {
   LoopTemplate tmpl = LoopTemplate::kBaseline;
   LoopParams params{};

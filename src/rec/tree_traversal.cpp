@@ -231,7 +231,7 @@ void run_autoropes(Device& dev, const Tree& tr, std::uint32_t* values,
   const std::uint32_t roots = last - first;
   // Profiling telemetry: where the rope split landed and how many subtree
   // roots it yielded. Gated at the call site because the track names allocate.
-  if (simt::Profiler::enabled()) {
+  if (simt::active_profile() != nullptr) {
     dev.prof_counter(base + "/split_level", static_cast<double>(split));
     dev.prof_counter(base + "/subtree_roots", static_cast<double>(roots));
   }

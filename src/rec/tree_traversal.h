@@ -82,8 +82,8 @@ struct RecOptions {
 /// knobs, and — optionally — an ExecPolicy. Mirrors nested::LoopRun: with a
 /// policy set, run_tree_traversal opens a fresh session under it and the
 /// returned report covers exactly that traversal; without one, launches land
-/// in `dev`'s ambient session (callers time it via dev.report()) and the
-/// returned report is empty.
+/// in the Session the caller opened on `dev` (and timed with its report())
+/// and the returned report is empty.
 struct TreeRun {
   TreeAlgo algo = TreeAlgo::kDescendants;
   RecTemplate tmpl = RecTemplate::kFlat;

@@ -113,7 +113,6 @@ class Server {
   /// Per-tenant cost rollup, sorted by tenant id (valid after run()).
   const std::vector<TenantUsage>& tenant_usage() const { return tenants_; }
   const std::vector<Shard>& shards() const { return shards_; }
-  const simt::VirtualClock& clock() const { return clock_; }
   /// Span recorder (populated when cfg.trace; see write_serve_trace).
   const ServeTracer& tracer() const { return tracer_; }
   /// Metrics registry (populated when cfg.metrics_interval_us > 0).

@@ -81,7 +81,9 @@ class CpuTimer {
   double cycles() const { return cycles_; }
   double us() const { return spec_.cycles_to_us(cycles_); }
   const CpuSpec& spec() const { return spec_; }
+  /// Test oracle: the cache model's access count, which its tests check.
   std::uint64_t loads_and_stores() const { return accesses_; }
+  /// Test oracle: the cache model's miss count, which its tests check.
   std::uint64_t cache_misses() const { return misses_; }
 
   void reset();

@@ -179,10 +179,6 @@ class LaneCtx {
     trace_->push_mem(OpKind::kGlobalLoad, bytes,
                      reinterpret_cast<std::uint64_t>(p));
   }
-  void charge_store(const void* p, std::uint32_t bytes) {
-    trace_->push_mem(OpKind::kGlobalStore, bytes,
-                     reinterpret_cast<std::uint64_t>(p));
-  }
 
   /// Shared-memory load (use with spans from BlockCtx::shared_array).
   template <class T>
@@ -219,13 +215,6 @@ class LaneCtx {
     record_atomic(p);
     T old = *p;
     if (old < v) *p = v;
-    return old;
-  }
-  template <class T>
-  T atomic_exch(T* p, T v) {
-    record_atomic(p);
-    T old = *p;
-    *p = v;
     return old;
   }
   template <class T>

@@ -50,40 +50,25 @@ void Device::set_exec_policy(const ExecPolicy& policy) {
 Session Device::session() { return session(policy_); }
 
 Session Device::session(const ExecPolicy& policy) {
-  SessionOptions options;
-  options.policy = policy;
-  return session(options);
-}
-
-Session Device::session(const SessionOptions& options) {
   if (session_active_) {
     throw std::logic_error(
         "Device::session: a Session is already open on this Device");
   }
-  return Session(this, options);
+  return Session(this, policy);
 }
 
-Session::Session(Device* dev, const SessionOptions& options)
+Session::Session(Device* dev, const ExecPolicy& policy)
     : dev_(dev), restore_(dev->policy_) {
   dev_->session_active_ = true;
-  dev_->set_exec_policy(options.policy);
+  dev_->set_exec_policy(policy);
   dev_->recorder_.reset();
-  if (options.profile) {
-    profile_override_ = true;
-    profile_restore_ = Profiler::enabled();
-    Profiler::set_enabled(true);
-  }
 }
 
 Session::Session(Session&& other) noexcept
-    : dev_(std::exchange(other.dev_, nullptr)),
-      restore_(other.restore_),
-      profile_override_(other.profile_override_),
-      profile_restore_(other.profile_restore_) {}
+    : dev_(std::exchange(other.dev_, nullptr)), restore_(other.restore_) {}
 
 Session::~Session() {
   if (dev_ == nullptr) return;
-  if (profile_override_) Profiler::set_enabled(profile_restore_);
   dev_->recorder_.reset();
   dev_->set_exec_policy(restore_);
   dev_->session_active_ = false;
@@ -102,21 +87,20 @@ void Device::launch_threads(const LaunchConfig& cfg, ThreadKernel k,
   launch(cfg, as_kernel(std::move(k)), stream);
 }
 
-void Device::reset() { recorder_.reset(); }
-
 void Device::prof_counter(std::string_view track, double value) {
-  if (!Profiler::enabled()) return;
-  Profiler::instance().counter(track, value, recorder_.graph().nodes.size());
+  if (Profile* prof = active_profile()) {
+    prof->counter(track, value, recorder_.graph().nodes.size());
+  }
 }
 
 void Device::prof_value(std::string_view track, double value) {
-  if (!Profiler::enabled()) return;
-  Profiler::instance().value(track, value);
+  if (Profile* prof = active_profile()) prof->value(track, value);
 }
 
 void Device::prof_instant(std::string_view name, std::string_view cat) {
-  if (!Profiler::enabled()) return;
-  Profiler::instance().instant(name, cat, recorder_.graph().nodes.size());
+  if (Profile* prof = active_profile()) {
+    prof->instant(name, cat, recorder_.graph().nodes.size());
+  }
 }
 
 int Device::blocks_for(std::int64_t items, int block_threads, int max_blocks) {
@@ -133,8 +117,8 @@ RunReport Device::report() {
 
   const ScheduleResult sched = schedule(recorder_.spec(), graph);
   rep.critical_path = analyze_critical_path(graph, sched);
-  if (Profiler::enabled()) {
-    Profiler::instance().observe_report(graph, sched, rep.critical_path);
+  if (Profile* prof = active_profile()) {
+    prof->observe_report(graph, sched, rep.critical_path);
   }
   rep.total_cycles = sched.total_cycles;
   rep.total_us = recorder_.spec().cycles_to_us(sched.total_cycles);

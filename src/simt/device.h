@@ -20,15 +20,6 @@ namespace nestpar::simt {
 
 class Session;
 
-/// Options for opening a Session beyond the engine policy. `profile = true`
-/// turns the process-wide simt::Profiler on for the session's lifetime (and
-/// restores the previous state when the session closes) — the programmatic
-/// twin of the `NESTPAR_PROFILE` environment switch.
-struct SessionOptions {
-  ExecPolicy policy = ExecPolicy::from_env();
-  bool profile = false;
-};
-
 /// One scheduled grid with its timed placement, exported (opt-in, see
 /// Device::set_collect_slices) for unified serve+device trace timelines.
 /// Times are microseconds relative to the session's time zero.
@@ -83,8 +74,8 @@ struct RunReport {
 
 /// The simulated GPU: the substrate every parallelization template runs on.
 ///
-/// Usage mirrors a minimal CUDA host API; an RAII Session bounds one
-/// recording:
+/// Usage mirrors a minimal CUDA host API; an RAII Session bounds each
+/// recording, and is the only way to time one:
 ///   Device dev;                                  // K20-like device
 ///   {
 ///     Session s = dev.session();                 // fresh recording
@@ -96,13 +87,12 @@ struct RunReport {
 /// Kernels execute functionally at launch time (results are immediately
 /// visible to host code, which iterative algorithms rely on to test
 /// convergence); the performance model replays the recorded session when
-/// `report()` is called.
+/// the Session's `report()` is called.
 ///
 /// Host launches throw SimtException when refused, so a host-site fault
 /// fails the whole run (the serving layer catches it to fail one attempt);
 /// device-side launches (LaneCtx) return a LaunchResult instead, so kernels
-/// can degrade. The `report()/reset()` surface remains for code that
-/// manages session boundaries by hand; `session()` is the preferred idiom.
+/// can degrade.
 ///
 /// Host execution engine: an ExecPolicy (constructor argument, per-session
 /// override, or `NESTPAR_EXEC`/`NESTPAR_THREADS` environment) selects
@@ -124,8 +114,6 @@ class Device {
   Session session();
   /// Same, with a per-session engine override.
   Session session(const ExecPolicy& policy);
-  /// Same, with full options (engine override + per-session profiling).
-  Session session(const SessionOptions& options);
 
   /// Launch a block-structured kernel from the host. Throws SimtException
   /// when the launch is refused (host-site fault injection).
@@ -153,22 +141,14 @@ class Device {
     recorder_.stream_wait(stream, event);
   }
 
-  /// Run the timing pass over everything launched since the last reset.
-  /// When profiling is enabled (simt::Profiler), the timed graph is also
-  /// folded into the process-wide profile.
-  RunReport report();
-
   /// Profiling hooks: record a counter sample / distribution value / instant
-  /// event on the process-wide Profiler, stamped with this device's current
-  /// launch-graph watermark. All three are gated no-ops — zero cost, zero
-  /// allocation — when profiling is off; call sites that build track names
-  /// dynamically should gate on `Profiler::enabled()` themselves.
+  /// event on the calling thread's active simt::Profile, stamped with this
+  /// device's current launch-graph watermark. All three are no-ops — zero
+  /// cost, zero allocation — with no active profile; call sites that build
+  /// track names dynamically should gate on `active_profile()` themselves.
   void prof_counter(std::string_view track, double value);
   void prof_value(std::string_view track, double value);
   void prof_instant(std::string_view name, std::string_view cat);
-
-  /// Discard the recorded session.
-  void reset();
 
   /// Ambient serving-layer context for subsequent launches (see
   /// Recorder::set_trace_context). Cleared when a new Session opens.
@@ -179,7 +159,7 @@ class Device {
 
   /// When on, report() also exports per-grid timed slices
   /// (RunReport::slices) for unified trace timelines. Off by default; purely
-  /// additive output, no modeled effect. Survives sessions and reset().
+  /// additive output, no modeled effect. Survives sessions.
   void set_collect_slices(bool on) { collect_slices_ = on; }
 
   /// Engine policy for subsequent launches. Takes effect immediately; the
@@ -197,6 +177,9 @@ class Device {
 
  private:
   friend class Session;
+  /// Run the timing pass over everything launched in the open session. With
+  /// an active simt::Profile, the timed graph is also folded into it.
+  RunReport report();
   /// Bind the recorder to the pool `policy_` calls for (creating/resizing
   /// it lazily), or unbind it for serial execution.
   void apply_policy();
@@ -210,10 +193,9 @@ class Device {
 
 /// RAII recording session on a Device. Construction starts a fresh
 /// recording (optionally under a different ExecPolicy); destruction discards
-/// it and restores the device's policy — replacing the manual
-/// `reset() ... report() ... reset()` dance. Kernels are launched through
-/// the borrowed Device (`device()`); the session only bounds the recording
-/// and times it.
+/// it and restores the device's policy. Kernels are launched through the
+/// borrowed Device (`device()`); the session only bounds the recording and
+/// times it.
 class Session {
  public:
   Session(Session&& other) noexcept;
@@ -238,12 +220,10 @@ class Session {
 
  private:
   friend class Device;
-  Session(Device* dev, const SessionOptions& options);
+  Session(Device* dev, const ExecPolicy& policy);
 
   Device* dev_;        ///< Null after being moved from.
   ExecPolicy restore_; ///< Device policy to reinstate on close.
-  bool profile_override_ = false;  ///< This session turned profiling on.
-  bool profile_restore_ = false;   ///< Profiler state to reinstate on close.
 };
 
 }  // namespace nestpar::simt

@@ -1,17 +1,6 @@
 #include "src/simt/device_spec.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace nestpar::simt {
-
-ResourceLimits ResourceLimits::cdp_defaults() {
-  ResourceLimits l;
-  l.pending_launch_capacity = 2048;
-  l.max_nesting_depth = 24;
-  l.device_heap_bytes = 8 * 1024 * 1024;
-  return l;
-}
 
 DeviceSpec DeviceSpec::k20() { return DeviceSpec{}; }
 
@@ -31,32 +20,6 @@ DeviceSpec DeviceSpec::small_kepler() {
 
 int DeviceSpec::warps_per_block(int threads_per_block) const {
   return (threads_per_block + warp_size - 1) / warp_size;
-}
-
-int DeviceSpec::max_resident_blocks(int threads_per_block,
-                                    std::size_t smem_per_block,
-                                    int regs_per_thread) const {
-  if (threads_per_block <= 0 || threads_per_block > max_threads_per_block) {
-    throw std::invalid_argument("block size out of range");
-  }
-  if (smem_per_block > shared_mem_per_block) {
-    throw std::invalid_argument("shared memory per block exceeds device limit");
-  }
-  const int warps = warps_per_block(threads_per_block);
-
-  int by_blocks = max_blocks_per_sm;
-  int by_warps = max_warps_per_sm / warps;
-  int by_threads = max_threads_per_sm / threads_per_block;
-  int by_smem = smem_per_block > 0
-                    ? static_cast<int>(shared_mem_per_sm / smem_per_block)
-                    : max_blocks_per_sm;
-  // Register allocation granularity is ignored; the paper notes the studied
-  // kernels have low register pressure.
-  int by_regs = regs_per_thread > 0
-                    ? registers_per_sm / (regs_per_thread * threads_per_block)
-                    : max_blocks_per_sm;
-
-  return std::max(0, std::min({by_blocks, by_warps, by_threads, by_smem, by_regs}));
 }
 
 }  // namespace nestpar::simt

@@ -20,12 +20,10 @@ struct ResourceLimits {
   /// Maximum nesting depth of device launches (CDP hard limit: 24).
   int max_nesting_depth = 24;
   /// Device-heap bytes available for launch bookkeeping; 0 = unlimited.
+  /// The CUDA device runtime's default heap is 8 MB.
   std::size_t device_heap_bytes = 0;
   /// Heap bytes each pending launch consumes from `device_heap_bytes`.
   std::size_t heap_bytes_per_launch = 1024;
-
-  /// CUDA device-runtime defaults: 2048-slot pool, depth 24, 8MB heap.
-  static ResourceLimits cdp_defaults();
 };
 
 /// Architectural and cost-model parameters of the simulated GPU.
@@ -103,12 +101,6 @@ struct DeviceSpec {
   /// Entry Kepler (GTX-650-class): 2 SMs — a stress preset showing how the
   /// templates behave when the device is tiny.
   static DeviceSpec small_kepler();
-
-  /// Occupancy calculator: maximum number of resident blocks per SM for a
-  /// kernel with the given block shape, mirroring the CUDA occupancy
-  /// calculator for CC 3.5 (warp/block/thread/shared-memory/register limits).
-  int max_resident_blocks(int threads_per_block, std::size_t smem_per_block,
-                          int regs_per_thread) const;
 
   /// Warps needed by a block of `threads_per_block` threads (rounded up).
   int warps_per_block(int threads_per_block) const;

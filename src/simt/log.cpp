@@ -41,7 +41,6 @@ bool enabled(Level lvl) {
 
 void error(const char* fmt, ...) { NESTPAR_LOG_BODY(Level::kError); }
 void warn(const char* fmt, ...) { NESTPAR_LOG_BODY(Level::kWarn); }
-void info(const char* fmt, ...) { NESTPAR_LOG_BODY(Level::kInfo); }
 void debug(const char* fmt, ...) { NESTPAR_LOG_BODY(Level::kDebug); }
 
 #undef NESTPAR_LOG_BODY

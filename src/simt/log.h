@@ -5,13 +5,12 @@ namespace nestpar::simt::log {
 /// Verbosity of the shared diagnostic logger. Messages go to stderr so they
 /// never perturb the byte-stable stdout the bench suites are compared on.
 /// The default level is kWarn: errors and warnings print (matching the
-/// ad-hoc `fprintf(stderr, ...)` lines they replaced byte-for-byte), info
-/// and debug stay silent until `--verbose` raises the level.
+/// ad-hoc `fprintf(stderr, ...)` lines they replaced byte-for-byte), debug
+/// stays silent until `--verbose` raises the level.
 enum class Level : int {
   kError = 0,  ///< Always printed (fatal or must-see diagnostics).
   kWarn = 1,   ///< Default: suspicious-but-recoverable conditions.
-  kInfo = 2,   ///< Progress notes (`--verbose`).
-  kDebug = 3,  ///< Detailed tracing (`--verbose` twice or explicit set).
+  kDebug = 2,  ///< Progress notes and tracing (`--verbose`).
 };
 
 void set_level(Level level);
@@ -23,7 +22,6 @@ bool enabled(Level level);
 /// does not change its bytes.
 void error(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void info(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace nestpar::simt::log

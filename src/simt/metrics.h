@@ -85,7 +85,7 @@ struct Metrics {
   /// step count), so slot 32 is fully converged execution and the low slots
   /// are the divergence tail. Collected unconditionally — the increments are
   /// deterministic and cheap — but only surfaced through the profiling
-  /// subsystem (simt::Profiler), never in default report output.
+  /// subsystem (simt::Profile), never in default report output.
   std::uint64_t active_lane_hist[33] = {};
 
   /// Ratio of average active lanes per step to the warp width.

@@ -1,9 +1,8 @@
 #include "src/simt/profiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
+#include <utility>
 
 namespace nestpar::simt {
 
@@ -41,80 +40,62 @@ ProfHistogram& ProfHistogram::operator+=(const ProfHistogram& o) {
   return *this;
 }
 
-const KernelProfile* ProfileSnapshot::find(std::string_view name) const {
+namespace {
+
+thread_local Profile* active = nullptr;
+
+bool name_less(const KernelProfile& k, std::string_view name) {
+  return k.name < name;
+}
+
+}  // namespace
+
+const KernelProfile* Profile::find(std::string_view name) const {
   for (const KernelProfile& k : kernels) {
     if (k.name == name) return &k;
   }
   return nullptr;
 }
 
-namespace {
-
-bool env_profile_enabled() {
-  const char* v = std::getenv("NESTPAR_PROFILE");
-  return v != nullptr && v[0] != '\0' &&
-         !(v[0] == '0' && v[1] == '\0');
+void Profile::counter(std::string_view track, double value,
+                      std::uint64_t node) {
+  counters.push_back(CounterSample{std::string(track), value, node});
+  tracks[std::string(track)].add(value);
 }
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_profile_enabled()};
-  return flag;
+void Profile::value(std::string_view track, double v) {
+  tracks[std::string(track)].add(v);
 }
 
-}  // namespace
-
-Profiler& Profiler::instance() {
-  static Profiler profiler;
-  return profiler;
+void Profile::instant(std::string_view name, std::string_view cat,
+                      std::uint64_t node) {
+  instants.push_back(InstantSample{std::string(name), std::string(cat), node});
 }
 
-bool Profiler::enabled() {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void Profiler::set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-void Profiler::counter(std::string_view track, double value,
-                       std::uint64_t node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.counters.push_back(CounterSample{std::string(track), value, node});
-  data_.tracks[std::string(track)].add(value);
-}
-
-void Profiler::value(std::string_view track, double v) {
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.tracks[std::string(track)].add(v);
-}
-
-void Profiler::instant(std::string_view name, std::string_view cat,
-                       std::uint64_t node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.instants.push_back(
-      InstantSample{std::string(name), std::string(cat), node});
-}
-
-void Profiler::observe_report(const LaunchGraph& graph,
-                              const ScheduleResult& sched,
-                              const CritPath& crit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++data_.reports;
-  data_.total_cycles += sched.total_cycles;
-  data_.crit_total += crit.total;
+void Profile::observe_report(const LaunchGraph& graph,
+                             const ScheduleResult& sched,
+                             const CritPath& crit) {
+  ++reports;
+  total_cycles += sched.total_cycles;
+  crit_total += crit.total;
   for (const auto& [name, attr] : crit.per_kernel) {
-    data_.crit_kernels[name] += attr;
+    crit_kernels[name] += attr;
   }
   for (const auto& [stack, cycles] : crit.folded) {
-    data_.crit_folded[stack] += cycles;
+    crit_folded[stack] += cycles;
   }
-  if (crit.makespan > data_.crit_chain_makespan) {
-    data_.crit_chain_makespan = crit.makespan;
-    data_.crit_chain = crit.chain;
+  if (crit.makespan > crit_chain_makespan) {
+    crit_chain_makespan = crit.makespan;
+    crit_chain = crit.chain;
   }
   for (const KernelNode& node : graph.nodes) {
-    KernelProfile& kp = kernels_[node.name];
-    if (kp.name.empty()) kp.name = node.name;
+    auto it = std::lower_bound(kernels.begin(), kernels.end(),
+                               std::string_view(node.name), name_less);
+    if (it == kernels.end() || it->name != node.name) {
+      it = kernels.insert(it, KernelProfile{});
+      it->name = node.name;
+    }
+    KernelProfile& kp = *it;
     ++kp.invocations;
     kp.busy_cycles += sched.node_end[node.id] - sched.node_start[node.id];
     for (const BlockCost& b : node.blocks) kp.block_cycles.add(b.issue_cycles);
@@ -130,7 +111,7 @@ void Profiler::observe_report(const LaunchGraph& graph,
     }
     if (node.origin == LaunchOrigin::kDevice) {
       kp.child_grid_blocks.add(static_cast<double>(node.grid_blocks));
-      ++data_.device_grids;
+      ++device_grids;
     }
     for (int i = 0; i < kLaneHistSlots; ++i) {
       kp.lane_hist[i] += node.metrics.active_lane_hist[i];
@@ -139,23 +120,16 @@ void Profiler::observe_report(const LaunchGraph& graph,
     kp.active_lane_ops += node.metrics.active_lane_ops;
     ++kp.nest_depth_grids[node.nest_depth];
     kp.robustness += node.metrics.robustness;
-    ++data_.depth_grids[node.nest_depth];
-    ++data_.grids;
+    ++depth_grids[node.nest_depth];
+    ++grids;
   }
 }
 
-ProfileSnapshot Profiler::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ProfileSnapshot snap = data_;
-  snap.kernels.reserve(kernels_.size());
-  for (const auto& [name, kp] : kernels_) snap.kernels.push_back(kp);
-  return snap;  // std::map iteration order keeps kernels sorted by name
-}
+Profile* active_profile() { return active; }
 
-void Profiler::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  kernels_.clear();
-  data_ = ProfileSnapshot{};
-}
+ProfileScope::ProfileScope(Profile& profile)
+    : previous_(std::exchange(active, &profile)) {}
+
+ProfileScope::~ProfileScope() { active = previous_; }
 
 }  // namespace nestpar::simt

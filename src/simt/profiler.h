@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,17 +105,25 @@ struct InstantSample {
   std::uint64_t node = 0;
 };
 
-/// Everything the profiler collected since the last reset. Copyable value
-/// type: the bench driver snapshots once per suite and serializes the result
-/// as PROF_<suite>.json (see bench/results.h).
-struct ProfileSnapshot {
+/// One profile: everything recorded while it was the active profile (see
+/// ProfileScope). A plain value type with a single owner — the bench driver
+/// holds one per suite and serializes it as PROF_<suite>.json (see
+/// bench/results.h); nothing about it is process-wide.
+///
+/// Each `Session::report()` folds its timed session into the active profile
+/// and templates add counters through `Device::prof_*`. With no active profile
+/// every hook is a no-op, so a profile-off run performs no profiling
+/// allocations and produces byte-identical output. Call sites that build
+/// track names must gate on `active_profile()` themselves to keep that path
+/// allocation-free.
+struct Profile {
   std::vector<KernelProfile> kernels;  ///< Sorted by kernel name.
   /// Named value distributions (counter tracks aggregate here too).
   std::map<std::string, ProfHistogram> tracks;
   std::vector<CounterSample> counters;  ///< Time-series counter samples.
   std::vector<InstantSample> instants;
   double total_cycles = 0.0;    ///< Sum of observed reports' makespans.
-  std::uint64_t reports = 0;    ///< Device::report() calls observed.
+  std::uint64_t reports = 0;    ///< Session::report() calls observed.
   std::uint64_t grids = 0;
   std::uint64_t device_grids = 0;
   std::map<std::uint32_t, std::uint64_t> depth_grids;
@@ -136,29 +143,6 @@ struct ProfileSnapshot {
 
   /// Kernel profile by exact name; nullptr when absent.
   const KernelProfile* find(std::string_view name) const;
-};
-
-/// Process-wide profiling collector. Off by default: every hook is gated on
-/// `enabled()` (same discipline as RobustnessCounters) so a profile-off run
-/// performs no profiling allocations and produces byte-identical output.
-///
-/// Activation: the `NESTPAR_PROFILE` environment variable (any value other
-/// than empty/"0"), `set_enabled(true)`, or a Session opened with
-/// `SessionOptions::profile = true`.
-///
-/// The collector is global rather than per-Device so the combined bench
-/// driver can snapshot profiles from Devices created inside suite code it
-/// never sees; `Device::report()` feeds it, templates add counters through
-/// `Device::prof_*`. Call sites must gate any string building on
-/// `Profiler::enabled()` themselves to keep the profile-off path
-/// allocation-free.
-class Profiler {
- public:
-  static Profiler& instance();
-
-  /// Global gate, initialized from NESTPAR_PROFILE on first use.
-  static bool enabled();
-  static void set_enabled(bool on);
 
   /// Record a counter sample (time series + aggregate distribution).
   void counter(std::string_view track, double value, std::uint64_t node);
@@ -170,22 +154,30 @@ class Profiler {
                std::uint64_t node);
 
   /// Fold one timed session into the per-kernel profiles. Called by
-  /// Device::report() when profiling is enabled; each call observes the
-  /// whole graph of that session. `crit` is the session's critical-path
+  /// Session::report() on the active profile; each call observes the whole
+  /// graph of that session. `crit` is the session's critical-path
   /// decomposition (computed once by the caller, shared with RunReport).
   void observe_report(const LaunchGraph& graph, const ScheduleResult& sched,
                       const CritPath& crit);
+};
 
-  /// Copy of everything collected since the last reset.
-  ProfileSnapshot snapshot() const;
-  void reset();
+/// The calling thread's active profile, or nullptr when none is (profiling
+/// off, the default).
+Profile* active_profile();
+
+/// Makes `profile` the calling thread's active profile for the scope's
+/// lifetime and reinstates the previous one (usually none) on exit. Scopes
+/// nest; each thread has its own, so sessions on different threads profile
+/// into different profiles without sharing or locking anything.
+class ProfileScope {
+ public:
+  explicit ProfileScope(Profile& profile);
+  ~ProfileScope();
+  ProfileScope(const ProfileScope&) = delete;
+  ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-  Profiler() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::string, KernelProfile> kernels_;
-  ProfileSnapshot data_;  ///< kernels member unused; map above is the source.
+  Profile* previous_;
 };
 
 }  // namespace nestpar::simt

@@ -600,22 +600,27 @@ LaunchResult Recorder::launch_host(const LaunchConfig& cfg, const Kernel& k,
     pending_waits_.erase(it);
   }
   stream_tail_.put(sid, id);
-  run_grid(id, k);
-  // Drain fire-and-forget device launches. The hardware gives no ordering
-  // guarantee across blocks, so the drain picks pending grids pseudo-randomly
-  // (deterministically seeded): unordered algorithms see the re-traversal
-  // work a real nondeterministic schedule causes, not an idealized wavefront.
-  while (!deferred_.empty()) {
-    // Uniform-random pick: the hardware gives no cross-block ordering
-    // guarantee, so unordered algorithms see level-mixing and the resulting
-    // re-traversal work instead of an idealized breadth-first wavefront.
-    // (A depth-first order would exceed the CDP nesting limit, exactly as it
+  try {
+    run_grid(id, k);
+    // Drain fire-and-forget device launches. The hardware gives no ordering
+    // guarantee across blocks, so the drain picks pending grids
+    // pseudo-randomly (deterministically seeded): unordered algorithms see
+    // the level-mixing and re-traversal work a real nondeterministic
+    // schedule causes, not an idealized breadth-first wavefront. (A
+    // depth-first order would exceed the CDP nesting limit, exactly as it
     // would on silicon, so execution is never LIFO.)
-    const std::size_t pick = drain_rng_() % deferred_.size();
-    auto [child_id, child_kernel] = std::move(deferred_[pick]);
-    deferred_[pick] = std::move(deferred_.back());
-    deferred_.pop_back();
-    run_grid(child_id, child_kernel);
+    while (!deferred_.empty()) {
+      const std::size_t pick = drain_rng_() % deferred_.size();
+      auto [child_id, child_kernel] = std::move(deferred_[pick]);
+      deferred_[pick] = std::move(deferred_.back());
+      deferred_.pop_back();
+      run_grid(child_id, child_kernel);
+    }
+  } catch (...) {
+    // A failed launch's queued async grids never run: left queued, the next
+    // host launch would execute them and charge them to itself.
+    deferred_.clear();
+    throw;
   }
   return LaunchResult{id, SimtError::kOk};
 }

@@ -16,8 +16,8 @@ using trace_json::write_escaped;
 
 /// Timestamp for a launch-graph watermark (see CounterSample::node): the
 /// start of the grid launched right after the sample was taken, or the end
-/// of the schedule when the sample came after the last launch (or from a
-/// different device's session — profiling is process-wide).
+/// of the schedule when the sample came after the last launch (or from an
+/// earlier session recorded into the same profile).
 double watermark_us(const DeviceSpec& spec, const ScheduleResult& sched,
                     std::uint64_t node) {
   if (node < sched.node_start.size()) {
@@ -89,15 +89,15 @@ void write_chrome_trace(std::ostream& out, const Device& dev) {
   // telemetry (queue split sizes, split levels, ...) plus instant events for
   // template-emitted markers (queue flushes) and fault-model activity
   // attributed to the grid it happened in.
-  if (!first && Profiler::enabled()) {
-    const ProfileSnapshot snap = Profiler::instance().snapshot();
-    for (const CounterSample& c : snap.counters) {
+  const Profile* prof = active_profile();
+  if (!first && prof != nullptr) {
+    for (const CounterSample& c : prof->counters) {
       out << ",";
       trace_json::write_counter(out, c.track,
                                 watermark_us(spec, sched, c.node), kSimPid,
                                 c.value);
     }
-    for (const InstantSample& e : snap.instants) {
+    for (const InstantSample& e : prof->instants) {
       out << ",";
       trace_json::write_instant(out, e.name, e.cat, "g",
                                 watermark_us(spec, sched, e.node), kSimPid, 0);

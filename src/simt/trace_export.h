@@ -12,12 +12,13 @@ namespace nestpar::simt {
 /// metrics in the event args. The timing pass runs on a copy of the session,
 /// so exporting does not perturb a later `report()`.
 ///
-/// When profiling is enabled (simt::Profiler) the trace additionally carries
-/// Perfetto counter tracks for every recorded counter sample (queue split
-/// sizes, autoropes split levels, ...) and instant events for template
-/// markers (queue flushes) and fault-model activity (injections, refusals,
-/// retries, degradations) attributed to the grid they occurred in. With
-/// profiling off the output is byte-identical to the plain exporter.
+/// Under an active simt::Profile (see ProfileScope) the trace additionally
+/// carries Perfetto counter tracks for every counter sample recorded into
+/// that profile (queue split sizes, autoropes split levels, ...), instant
+/// events for template markers (queue flushes) and fault-model activity
+/// (injections, refusals, retries, degradations) attributed to the grid
+/// they occurred in, launch-edge flows and a critical-path row. With no
+/// active profile the output is byte-identical to the plain exporter.
 void write_chrome_trace(std::ostream& out, const Device& dev);
 
 }  // namespace nestpar::simt

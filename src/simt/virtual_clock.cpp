@@ -14,14 +14,6 @@ void VirtualClock::advance_to(double t_us) {
   now_us_ = t_us;
 }
 
-void VirtualClock::advance_by(double delta_us) {
-  if (delta_us < 0.0) {
-    throw std::logic_error("VirtualClock::advance_by: negative delta " +
-                           std::to_string(delta_us));
-  }
-  now_us_ += delta_us;
-}
-
 TickSampler::TickSampler(double interval_us) : interval_us_(interval_us) {
   if (interval_us < 0.0) {
     throw std::invalid_argument("TickSampler: negative interval " +

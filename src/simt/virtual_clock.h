@@ -26,9 +26,6 @@ class VirtualClock {
   /// legitimate state.
   void advance_to(double t_us);
 
-  /// Move the clock forward by `delta_us` (must be >= 0).
-  void advance_by(double delta_us);
-
  private:
   double now_us_ = 0.0;
 };

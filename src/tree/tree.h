@@ -31,7 +31,6 @@ struct Tree {
   std::span<const std::uint32_t> child_list(std::uint32_t v) const {
     return {children.data() + child_offsets[v], num_children(v)};
   }
-  bool is_leaf(std::uint32_t v) const { return num_children(v) == 0; }
   std::uint32_t max_level() const {
     return level_offsets.size() < 2
                ? 0

@@ -397,7 +397,7 @@ TEST(ExactGate, FailsEveryMutationAndPassesVolatileOnlyChanges) {
   using Ms = std::vector<Measurement>;
   using Ss = std::vector<ServeRecord>;
   using nestpar::simt::CritCategory;
-  using nestpar::simt::ProfileSnapshot;
+  using nestpar::simt::Profile;
 
   // The writer prints the shortest form, 2e+06; 2000000 parses to the same
   // double, so only the bytes tell the two apart.
@@ -485,25 +485,25 @@ TEST(ExactGate, FailsEveryMutationAndPassesVolatileOnlyChanges) {
        }),
        false},
       {"lane histogram bucket", to_json(prof),
-       prof_with([](ProfileSnapshot& p) { p.kernels[0].lane_hist[1] += 1; }),
+       prof_with([](Profile& p) { p.kernels[0].lane_hist[1] += 1; }),
        false},
       {"busy cycles", to_json(prof),
-       prof_with([](ProfileSnapshot& p) { p.kernels[0].busy_cycles *= 1.01; }),
+       prof_with([](Profile& p) { p.kernels[0].busy_cycles *= 1.01; }),
        false},
       {"critical-path category", to_json(prof),
-       prof_with([](ProfileSnapshot& p) {
+       prof_with([](Profile& p) {
          CritCategory& c = p.crit_chain[0].category;
          c = c == CritCategory::kLaunch ? CritCategory::kCompute
                                         : CritCategory::kLaunch;
        }),
        false},
       {"missing kernel", to_json(prof),
-       prof_with([](ProfileSnapshot& p) {
+       prof_with([](Profile& p) {
          p.kernels.erase(p.kernels.begin() + 1);
        }),
        false},
       {"reordered kernels", to_json(prof),
-       prof_with([](ProfileSnapshot& p) {
+       prof_with([](Profile& p) {
          std::swap(p.kernels[0], p.kernels[2]);
        }),
        false},

@@ -341,10 +341,11 @@ TEST(ConsStructure, AggregationCollapsesDeviceLaunchCounts) {
 
   const auto grids = [&](LoopTemplate t) {
     simt::Device dev;
+    simt::Session s = dev.session();
     nested::LoopParams p;
     p.lb_threshold = 32;
     apps::run_spmv(dev, a, x, t, p);
-    return dev.report();
+    return s.report();
   };
 
   const simt::RunReport naive = grids(LoopTemplate::kDparNaive);
@@ -367,10 +368,11 @@ TEST(ConsStructure, FewDescriptorsDrainInlineWithoutAChildGrid) {
   const auto x = matrix::make_dense_vector(a.cols, 5);
   for (const LoopTemplate t : cons_templates()) {
     simt::Device dev;
+    simt::Session s = dev.session();
     nested::LoopParams p;
     p.lb_threshold = 64;
     apps::run_spmv(dev, a, x, t, p);
-    const simt::RunReport rep = dev.report();
+    const simt::RunReport rep = s.report();
     EXPECT_EQ(rep.device_grids, 0u) << nested::name(t);
     EXPECT_EQ(rep.robustness.degraded, 0u) << nested::name(t);
   }

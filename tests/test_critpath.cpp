@@ -322,8 +322,8 @@ TEST(CritPathBaselines, AttributionSumsToMakespanOnAllSuites) {
     SCOPED_TRACE(stem);
     const bench::SuiteProfile p = bench::load_profile_file(entry.path());
     ++seen;
-    // Profiler accumulates one attribution per observed report; the grand
-    // total must equal the sum of makespans the profiler saw.
+    // A profile accumulates one attribution per observed report; the grand
+    // total must equal the sum of makespans the profile saw.
     EXPECT_LT(rel_err(p.prof.crit_total.total(), p.prof.total_cycles), 1e-6);
     simt::CritAttribution per_kernel_sum;
     for (const auto& [name, attr] : p.prof.crit_kernels) {

@@ -22,7 +22,6 @@
 #include "src/apps/pagerank.h"
 #include "src/apps/spmv.h"
 #include "src/apps/sssp.h"
-#include "src/apps/triangles.h"
 #include "src/graph/generators.h"
 #include "src/matrix/csr_matrix.h"
 #include "src/nested/templates.h"
@@ -159,7 +158,7 @@ void expect_engines_agree(const App& app) {
   expect_identical(rs, rp);
 }
 
-// Symmetric with sorted adjacency, as CC, k-core and triangles require.
+// Symmetric with sorted adjacency, as CC and k-core require.
 graph::Csr small_symmetric_graph() {
   return graph::symmetrize(
       graph::generate_power_law(500, 1, 80, 5.0, 20150707, false));
@@ -257,15 +256,6 @@ TEST_P(LoopDeterminism, KcoreMatchesSerialEngineExactly) {
   p.lb_threshold = 32;
   expect_engines_agree([&](simt::Device& dev) {
     return apps::run_kcore(dev, g, GetParam(), p);
-  });
-}
-
-TEST_P(LoopDeterminism, TrianglesMatchSerialEngineExactly) {
-  const graph::Csr g = small_symmetric_graph();
-  nested::LoopParams p;
-  p.lb_threshold = 32;
-  expect_engines_agree([&](simt::Device& dev) {
-    return apps::run_triangle_count(dev, g, GetParam(), p);
   });
 }
 
@@ -527,13 +517,16 @@ TEST(GraphDeterminism, ThrowingBlockLeavesNoNodes) {
     EXPECT_THROW(launch_storm(dev, /*throw_block=*/1), std::runtime_error);
     expect_dfs_graph(dev.graph(), want);
     // The session goes on: the next host grid takes the next id and seq, and
-    // its drain must not meet the dropped block's async grids.
+    // its drain must not meet the failed launch's async grids, the dropped
+    // block's or the merged block's: "late" and "side" never run.
     simt::LaunchConfig next;
     next.name = "next";
     dev.launch_threads(next, [](simt::LaneCtx& t) { t.compute(1); });
     ASSERT_EQ(dev.graph().nodes.size(), want.size() + 1);
     EXPECT_EQ(dev.graph().nodes.back().name, "next");
     EXPECT_EQ(dev.graph().nodes.back().seq, want.size());
+    EXPECT_TRUE(dev.graph().nodes[3].blocks.empty());  // late
+    EXPECT_TRUE(dev.graph().nodes[4].blocks.empty());  // side
   }
 }
 

@@ -55,12 +55,13 @@ TEST(Events, WithoutWaitStreamsOverlap) {
 
 TEST(Events, EventOnEmptyStreamIsComplete) {
   simt::Device dev;
+  simt::Session s = dev.session();
   const simt::EventHandle ev = dev.record_event(simt::StreamHandle{9});
   dev.stream_wait(simt::StreamHandle{2}, ev);
   dev.launch_threads(cfg(1, 32, "free"),
                      [](simt::LaneCtx& t) { t.compute(1); },
                      simt::StreamHandle{2});
-  EXPECT_GT(dev.report().total_cycles, 0.0);  // No deadlock.
+  EXPECT_GT(s.report().total_cycles, 0.0);  // No deadlock.
 }
 
 TEST(Events, DependencyOnlyDelaysTheNextLaunch) {

@@ -1,5 +1,5 @@
 // Tests for the extension layers: symmetrize / sort_neighbors, connected
-// components, triangle counting (both across templates), the model-driven
+// components and k-core (both across templates), the model-driven
 // autotuner, Chrome-trace export, and the DeviceSpec presets.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "src/apps/cc.h"
 #include "src/apps/kcore.h"
 #include "src/apps/spmv.h"
-#include "src/apps/triangles.h"
 #include "src/graph/generators.h"
 #include "src/matrix/csr_matrix.h"
 #include "src/nested/autotune.h"
@@ -172,53 +171,6 @@ TEST(Rmat, RejectsBadParams) {
                std::invalid_argument);
 }
 
-// --- triangle counting ---------------------------------------------------------
-
-TEST(Triangles, CompleteGraphK5) {
-  std::vector<graph::Edge> edges;
-  for (std::uint32_t a = 0; a < 5; ++a) {
-    for (std::uint32_t b = 0; b < 5; ++b) {
-      if (a != b) edges.push_back({a, b, 1.f});
-    }
-  }
-  graph::Csr g = graph::build_csr(5, edges);
-  graph::sort_neighbors(g);
-  simt::Device dev;
-  // C(5,3) = 10 triangles.
-  EXPECT_EQ(apps::run_triangle_count(dev, g, LoopTemplate::kBaseline), 10u);
-  EXPECT_EQ(apps::triangle_count_serial(g), 10u);
-}
-
-TEST(Triangles, TriangleFreeBipartite) {
-  std::vector<graph::Edge> edges;
-  for (std::uint32_t a = 0; a < 10; ++a) {
-    for (std::uint32_t b = 10; b < 20; ++b) {
-      edges.push_back({a, b, 1.f});
-      edges.push_back({b, a, 1.f});
-    }
-  }
-  graph::Csr g = graph::build_csr(20, edges);
-  graph::sort_neighbors(g);
-  simt::Device dev;
-  EXPECT_EQ(apps::run_triangle_count(dev, g, LoopTemplate::kDbufGlobal), 0u);
-}
-
-TEST(Triangles, TemplatesAgreeOnRandomGraph) {
-  const graph::Csr g =
-      graph::symmetrize(graph::generate_uniform_random(250, 2, 14, 23));
-  const std::uint64_t want = apps::triangle_count_serial(g);
-  for (const LoopTemplate t :
-       {LoopTemplate::kBaseline, LoopTemplate::kDualQueue,
-        LoopTemplate::kDbufShared, LoopTemplate::kDbufGlobal,
-        LoopTemplate::kDparOpt}) {
-    simt::Device dev;
-    nested::LoopParams p;
-    p.lb_threshold = 8;
-    EXPECT_EQ(apps::run_triangle_count(dev, g, t, p), want)
-        << nested::name(t);
-  }
-}
-
 // --- autotuner -----------------------------------------------------------------
 
 TEST(Autotune, PicksLoadBalancingForSkewedInput) {
@@ -268,6 +220,7 @@ TEST(Autotune, LabelsAreDescriptive) {
 
 TEST(TraceExport, EmitsWellFormedEvents) {
   simt::Device dev;
+  simt::Session s = dev.session();
   simt::LaunchConfig cfg;
   cfg.grid_blocks = 2;
   cfg.block_threads = 64;
@@ -290,7 +243,7 @@ TEST(TraceExport, EmitsWellFormedEvents) {
   EXPECT_NE(json.find("beta\\\"quoted"), std::string::npos);
   EXPECT_NE(json.find("device-launch"), std::string::npos);
   // Export must not perturb the subsequent report.
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.grids, 3u);  // 1 parent grid + 1 child per parent block.
 }
 
@@ -315,12 +268,13 @@ TEST(DevicePresets, DistinctAndValid) {
 TEST(DevicePresets, BiggerDeviceIsFaster) {
   const auto run = [](const simt::DeviceSpec& spec) {
     simt::Device dev(spec);
+    simt::Session s = dev.session();
     simt::LaunchConfig cfg;
     cfg.grid_blocks = 60;
     cfg.block_threads = 192;
     cfg.name = "work";
     dev.launch_threads(cfg, [](simt::LaneCtx& t) { t.compute(4000); });
-    return dev.report().total_us;
+    return s.report().total_us;
   };
   EXPECT_LT(run(simt::DeviceSpec::k40()), run(simt::DeviceSpec::k20()));
   EXPECT_LT(run(simt::DeviceSpec::k20()),

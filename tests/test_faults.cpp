@@ -136,13 +136,6 @@ TEST(FaultConfigParsing, ErrorStringsAndTransience) {
   EXPECT_FALSE(simt::is_transient(simt::SimtError::kDeviceHeapExhausted));
 }
 
-TEST(FaultConfigParsing, CdpDefaultsMatchHardware) {
-  const simt::ResourceLimits l = simt::ResourceLimits::cdp_defaults();
-  EXPECT_EQ(l.pending_launch_capacity, 2048);
-  EXPECT_EQ(l.max_nesting_depth, 24);
-  EXPECT_EQ(l.device_heap_bytes, std::size_t{8} << 20);
-}
-
 // --- resource limits ---------------------------------------------------------
 
 TEST(FaultLimits, PoolExhaustionDegradesDparNaiveCorrectly) {

@@ -28,8 +28,9 @@ std::vector<float> flattened_spmv(const matrix::CsrMatrix& a,
   std::vector<float> y(a.rows, 0.0f);
   apps::SpmvWorkload w(a, x.data(), y.data());
   simt::Device dev;
+  simt::Session s = dev.session();
   nested::run_flattened(dev, w);
-  if (report != nullptr) *report = dev.report();
+  if (report != nullptr) *report = s.report();
   return y;
 }
 

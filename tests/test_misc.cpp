@@ -26,25 +26,17 @@ simt::LaunchConfig cfg(int blocks, int threads, const char* name) {
 
 TEST(ChargeApi, RangedLoadCountsContiguousSegments) {
   simt::Device dev;
+  simt::Session s = dev.session();
   std::vector<int> data(4096);
   dev.launch_threads(cfg(1, 1, "ranged"), [&](simt::LaneCtx& t) {
     // 4096 ints = 16KB = 128 segments of 128B.
     t.charge_load(data.data(), 4096 * sizeof(int));
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_GE(rep.aggregate.gld_transferred_bytes, 16 * 1024u);
   EXPECT_EQ(rep.aggregate.gld_requested_bytes, 16 * 1024u);
   // Ranged charges should be ~100% efficient (contiguous).
   EXPECT_GT(rep.aggregate.gld_efficiency(), 0.9);
-}
-
-TEST(ChargeApi, RangedStoreSymmetric) {
-  simt::Device dev;
-  std::vector<int> data(1024);
-  dev.launch_threads(cfg(1, 1, "ranged"), [&](simt::LaneCtx& t) {
-    t.charge_store(data.data(), 1024 * sizeof(int));
-  });
-  EXPECT_EQ(dev.report().aggregate.gst_requested_bytes, 4096u);
 }
 
 TEST(Metrics, ToStringMentionsKeyFields) {
@@ -59,12 +51,13 @@ TEST(Metrics, ToStringMentionsKeyFields) {
 
 TEST(ReportPrinter, ShowsKernelsBusiestFirst) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(2, 64, "small"),
                      [](simt::LaneCtx& t) { t.compute(10); });
   dev.launch_threads(cfg(8, 192, "big"),
                      [](simt::LaneCtx& t) { t.compute(50000); });
   std::ostringstream os;
-  simt::print_report(os, dev.report(), dev.spec());
+  simt::print_report(os, s.report(), dev.spec());
   const std::string out = os.str();
   EXPECT_LT(out.find("big"), out.find("small"));
   EXPECT_NE(out.find("(aggregate)"), std::string::npos);
@@ -138,9 +131,10 @@ TEST(DeviceFacade, BlocksForClampsAndRounds) {
 
 TEST(DeviceFacade, ReportIsRepeatable) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(4, 64, "k"), [](simt::LaneCtx& t) { t.compute(100); });
-  const auto a = dev.report();
-  const auto b = dev.report();
+  const auto a = s.report();
+  const auto b = s.report();
   EXPECT_DOUBLE_EQ(a.total_cycles, b.total_cycles);
   // Occupancy metrics accumulate per schedule run; ratios must stay sane.
   EXPECT_LE(b.aggregate.warp_occupancy(dev.spec().max_warps_per_sm), 1.0 + 1e-9);

@@ -13,6 +13,7 @@
 #include "src/rec/tree_traversal.h"
 #include "src/sort/sort.h"
 #include "src/tree/tree.h"
+#include "tests/session.h"
 
 namespace simt = nestpar::simt;
 namespace nested = nestpar::nested;
@@ -22,6 +23,7 @@ namespace matrix = nestpar::matrix;
 namespace rec = nestpar::rec;
 namespace tree = nestpar::tree;
 namespace sort = nestpar::sort;
+namespace test = nestpar::test;
 
 using nested::LoopTemplate;
 using rec::RecTemplate;
@@ -35,10 +37,11 @@ class ModelShapes : public testing::Test {
                         const std::vector<float>& x, LoopTemplate t,
                         int lb = 32) {
     simt::Device dev;
+    simt::Session s = dev.session();
     nested::LoopParams p;
     p.lb_threshold = lb;
     apps::run_spmv(dev, m, x, t, p);
-    return dev.report().total_us;
+    return s.report().total_us;
   }
 };
 
@@ -86,13 +89,15 @@ TEST_F(ModelShapes, RecHierBeatsFlatOnWideRegularTrees) {
   const tree::Tree tr =
       tree::generate_tree({.depth = 3, .outdegree = 96, .sparsity = 0}, 2);
   simt::Device dev;
-  rec::run_tree_traversal(
-      dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kFlat});
-  const double flat = dev.report().total_us;
-  dev.reset();
-  rec::run_tree_traversal(
-      dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecHier});
-  const double hier = dev.report().total_us;
+  const double flat = test::timed(dev, [&] {
+    rec::run_tree_traversal(
+        dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kFlat});
+  }).total_us;
+  const double hier = test::timed(dev, [&] {
+    rec::run_tree_traversal(dev, tr,
+                            {.algo = TreeAlgo::kDescendants,
+                             .tmpl = RecTemplate::kRecHier});
+  }).total_us;
   EXPECT_LT(hier, flat);
 }
 
@@ -102,10 +107,11 @@ TEST_F(ModelShapes, RecNaiveLosesToSerialCpuOnTrees) {
   simt::CpuTimer cpu;
   rec::tree_traversal_serial_iterative(tr, TreeAlgo::kDescendants, &cpu);
   simt::Device dev;
+  simt::Session s = dev.session();
   rec::run_tree_traversal(
       dev, tr,
       {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecNaive});
-  EXPECT_GT(dev.report().total_us, cpu.us());
+  EXPECT_GT(s.report().total_us, cpu.us());
 }
 
 TEST_F(ModelShapes, SparsityErodesRecHierAdvantage) {
@@ -116,10 +122,11 @@ TEST_F(ModelShapes, SparsityErodesRecHierAdvantage) {
       tree::generate_tree({.depth = 3, .outdegree = 96, .sparsity = 3}, 2);
   const auto hier_eff = [](const tree::Tree& tr) {
     simt::Device dev;
+    simt::Session s = dev.session();
     rec::run_tree_traversal(
         dev, tr,
         {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecHier});
-    return dev.report().aggregate.warp_execution_efficiency();
+    return s.report().aggregate.warp_execution_efficiency();
   };
   EXPECT_GT(hier_eff(dense), hier_eff(sparse));
 }
@@ -127,11 +134,11 @@ TEST_F(ModelShapes, SparsityErodesRecHierAdvantage) {
 TEST_F(ModelShapes, RecursiveBfsIsCatastrophicallySlowerThanFlat) {
   const auto g = graph::generate_uniform_random(3000, 0, 32, 5);
   simt::Device dev;
-  apps::bfs_flat_gpu(dev, g, 0);
-  const double flat = dev.report().total_us;
-  dev.reset();
-  apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive);
-  const double naive = dev.report().total_us;
+  const double flat =
+      test::timed(dev, [&] { apps::bfs_flat_gpu(dev, g, 0); }).total_us;
+  const double naive = test::timed(dev, [&] {
+    apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive);
+  }).total_us;
   EXPECT_GT(naive, flat * 50);  // Paper: orders of magnitude.
 }
 
@@ -139,10 +146,11 @@ TEST_F(ModelShapes, ExtraStreamHelpsNaiveBfs) {
   const auto g = graph::generate_uniform_random(3000, 0, 32, 5);
   const auto run = [&](int streams) {
     simt::Device dev;
+    simt::Session s = dev.session();
     rec::RecOptions opt;
     opt.streams_per_block = streams;
     apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive, opt);
-    return dev.report().total_us;
+    return s.report().total_us;
   };
   EXPECT_LT(run(2), run(1) * 1.05);  // At worst neutral, typically faster.
 }
@@ -163,10 +171,11 @@ TEST_F(ModelShapes, MergeSortBeatsBothCdpQuicksorts) {
   const auto run = [&](int algo) {
     auto keys = sort::make_keys(n, 11);
     simt::Device dev;
+    simt::Session s = dev.session();
     if (algo == 0) sort::mergesort(dev, keys);
     if (algo == 1) sort::advanced_quicksort(dev, keys);
     if (algo == 2) sort::simple_quicksort(dev, keys);
-    return dev.report().total_us;
+    return s.report().total_us;
   };
   const double merge = run(0), advanced = run(1), simple = run(2);
   EXPECT_LT(merge, advanced);
@@ -188,22 +197,23 @@ TEST_F(ModelShapes, GmuSerializesMassiveFanout) {
   parent.grid_blocks = 8;
   parent.block_threads = 128;
   parent.name = "parent";
-  dev.launch_threads(parent, [](simt::LaneCtx& t) {
-    simt::LaunchConfig child;
-    child.grid_blocks = 1;
-    child.block_threads = 32;
-    child.name = "child";
-    EXPECT_TRUE(t.launch(
-        child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(4); })));
-  });
-  const double fanout = dev.report().total_us;
-  dev.reset();
+  const double fanout = test::timed(dev, [&] {
+    dev.launch_threads(parent, [](simt::LaneCtx& t) {
+      simt::LaunchConfig child;
+      child.grid_blocks = 1;
+      child.block_threads = 32;
+      child.name = "child";
+      EXPECT_TRUE(t.launch(
+          child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(4); })));
+    });
+  }).total_us;
   simt::LaunchConfig fused;
   fused.grid_blocks = 8 * 128;
   fused.block_threads = 32;
   fused.name = "fused";
-  dev.launch_threads(fused, [](simt::LaneCtx& t) { t.compute(4); });
-  const double flat = dev.report().total_us;
+  const double flat = test::timed(dev, [&] {
+    dev.launch_threads(fused, [](simt::LaneCtx& t) { t.compute(4); });
+  }).total_us;
   EXPECT_GT(fanout, flat * 10);
 }
 
@@ -212,6 +222,7 @@ TEST_F(ModelShapes, PendingPoolOverflowEscalatesCost) {
     simt::DeviceSpec spec = simt::DeviceSpec::k20();
     spec.pending_launch_pool = pool;
     simt::Device dev(spec);
+    simt::Session s = dev.session();
     simt::LaunchConfig parent;
     parent.grid_blocks = 26;
     parent.block_threads = 192;
@@ -224,7 +235,7 @@ TEST_F(ModelShapes, PendingPoolOverflowEscalatesCost) {
       EXPECT_TRUE(t.launch_async(
           child, simt::as_kernel([](simt::LaneCtx& c) { c.compute(1); })));
     });
-    return dev.report().total_us;
+    return s.report().total_us;
   };
   EXPECT_GT(run(64), run(1 << 20) * 2);
 }

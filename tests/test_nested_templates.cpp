@@ -130,10 +130,11 @@ class TemplateStructure : public testing::Test {
 
   simt::RunReport run(LoopTemplate t, int lb = 32) {
     simt::Device dev;
+    simt::Session s = dev.session();
     nested::LoopParams p;
     p.lb_threshold = lb;
     apps::run_spmv(dev, a_, x_, t, p);
-    return dev.report();
+    return s.report();
   }
 };
 

@@ -1,14 +1,16 @@
 // Tests for the profiling subsystem (src/simt/profiler.{h,cpp}) and its
 // PROF_<suite>.json pipeline: histogram bucketing and merging, the
-// off-by-default gating discipline, per-kernel distribution collection
-// through Device::report(), determinism across host execution engines, JSON
-// round-trip fidelity, and the paper's load-imbalance claim — the
+// off-by-default gating discipline, scoped per-thread ownership, per-kernel
+// distribution collection through Session::report(), determinism across host
+// execution engines and threads, JSON round-trip fidelity, and the paper's
+// load-imbalance claim — the
 // delayed-buffer template flattens the per-block cycle distribution of the
 // SSSP relaxation sweep relative to the thread-mapped baseline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "bench/results.h"
 #include "src/apps/sssp.h"
@@ -26,23 +28,6 @@ namespace bench = nestpar::bench;
 
 namespace {
 
-/// Saves and restores the process-wide profiler state around each test, so
-/// profiling tests cannot leak an enabled profiler into unrelated suites.
-class ProfilerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    was_enabled_ = simt::Profiler::enabled();
-    simt::Profiler::instance().reset();
-  }
-  void TearDown() override {
-    simt::Profiler::set_enabled(was_enabled_);
-    simt::Profiler::instance().reset();
-  }
-
- private:
-  bool was_enabled_ = false;
-};
-
 void tiny_workload(simt::Device& dev, int grid_blocks = 4) {
   simt::LaunchConfig cfg;
   cfg.grid_blocks = grid_blocks;
@@ -54,7 +39,7 @@ void tiny_workload(simt::Device& dev, int grid_blocks = 4) {
   });
 }
 
-TEST_F(ProfilerTest, HistogramBucketBoundaries) {
+TEST(ProfilerTest, HistogramBucketBoundaries) {
   EXPECT_EQ(simt::ProfHistogram::bucket_of(0.0), 0);
   EXPECT_EQ(simt::ProfHistogram::bucket_of(0.5), 0);
   EXPECT_EQ(simt::ProfHistogram::bucket_of(-3.0), 0);
@@ -69,7 +54,7 @@ TEST_F(ProfilerTest, HistogramBucketBoundaries) {
             simt::ProfHistogram::kBuckets - 1);
 }
 
-TEST_F(ProfilerTest, HistogramAddAndMergeTrackStats) {
+TEST(ProfilerTest, HistogramAddAndMergeTrackStats) {
   simt::ProfHistogram a;
   a.add(2.0);
   a.add(10.0);
@@ -96,8 +81,11 @@ TEST_F(ProfilerTest, HistogramAddAndMergeTrackStats) {
   EXPECT_DOUBLE_EQ(c.max_value, 10.0);
 }
 
-TEST_F(ProfilerTest, DisabledProfilerObservesNothing) {
-  simt::Profiler::set_enabled(false);
+TEST(ProfilerTest, DisabledProfilerObservesNothing) {
+  // A profile observes only while its scope is open.
+  simt::Profile closed;
+  { const simt::ProfileScope scope(closed); }
+  EXPECT_EQ(simt::active_profile(), nullptr);
   simt::Device dev;
   {
     simt::Session s = dev.session();
@@ -107,26 +95,25 @@ TEST_F(ProfilerTest, DisabledProfilerObservesNothing) {
     dev.prof_instant("tiny/event", "test");
     (void)s.report();
   }
-  const simt::ProfileSnapshot snap = simt::Profiler::instance().snapshot();
-  EXPECT_EQ(snap.reports, 0u);
-  EXPECT_EQ(snap.grids, 0u);
-  EXPECT_TRUE(snap.kernels.empty());
-  EXPECT_TRUE(snap.tracks.empty());
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.instants.empty());
+  EXPECT_EQ(closed.reports, 0u);
+  EXPECT_EQ(closed.grids, 0u);
+  EXPECT_TRUE(closed.kernels.empty());
+  EXPECT_TRUE(closed.tracks.empty());
+  EXPECT_TRUE(closed.counters.empty());
+  EXPECT_TRUE(closed.instants.empty());
 }
 
-TEST_F(ProfilerTest, ReportFoldsKernelDistributions) {
-  simt::Profiler::set_enabled(true);
+TEST(ProfilerTest, ReportFoldsKernelDistributions) {
+  simt::Profile snap;
   simt::Device dev;
   {
+    const simt::ProfileScope scope(snap);
     simt::Session s = dev.session();
     tiny_workload(dev, /*grid_blocks=*/4);
     dev.prof_counter("tiny/track", 3.0);
     dev.prof_instant("tiny/flush", "queue");
     (void)s.report();
   }
-  const simt::ProfileSnapshot snap = simt::Profiler::instance().snapshot();
   EXPECT_EQ(snap.reports, 1u);
   EXPECT_EQ(snap.grids, 1u);
   ASSERT_EQ(snap.kernels.size(), 1u);
@@ -156,44 +143,55 @@ TEST_F(ProfilerTest, ReportFoldsKernelDistributions) {
   EXPECT_EQ(snap.find("no/such/kernel"), nullptr);
 }
 
-TEST_F(ProfilerTest, SessionOptionEnablesAndRestores) {
-  simt::Profiler::set_enabled(false);
+// Scopes nest: the inner profile receives the inner session's report, and
+// closing it reinstates the outer one.
+TEST(ProfilerTest, ScopeActivatesAndRestores) {
+  simt::Profile outer;
+  simt::Profile inner;
   simt::Device dev;
   {
-    simt::SessionOptions opts;
-    opts.profile = true;
-    simt::Session s = dev.session(opts);
-    EXPECT_TRUE(simt::Profiler::enabled());
-    tiny_workload(dev);
+    const simt::ProfileScope outer_scope(outer);
+    {
+      const simt::ProfileScope inner_scope(inner);
+      EXPECT_EQ(simt::active_profile(), &inner);
+      simt::Session s = dev.session();
+      tiny_workload(dev);
+      (void)s.report();
+    }
+    EXPECT_EQ(simt::active_profile(), &outer);
+    simt::Session s = dev.session();
+    tiny_workload(dev, /*grid_blocks=*/2);
+    (void)s.report();
     (void)s.report();
   }
-  EXPECT_FALSE(simt::Profiler::enabled());
-  const simt::ProfileSnapshot snap = simt::Profiler::instance().snapshot();
-  EXPECT_EQ(snap.reports, 1u);
-  ASSERT_EQ(snap.kernels.size(), 1u);
+  EXPECT_EQ(simt::active_profile(), nullptr);
+  EXPECT_EQ(inner.reports, 1u);
+  ASSERT_EQ(inner.kernels.size(), 1u);
+  EXPECT_EQ(inner.kernels[0].block_cycles.count, 4u);
+  EXPECT_EQ(outer.reports, 2u);
+  ASSERT_EQ(outer.kernels.size(), 1u);
+  EXPECT_EQ(outer.kernels[0].block_cycles.count, 4u);  // 2 blocks, twice
 }
 
 // The profile is derived from the launch graph and the deterministic
 // schedule, so the serial and thread-pool engines must produce identical
-// snapshots — same per-block histograms, same lane histograms, bit for bit.
-TEST_F(ProfilerTest, SnapshotDeterminismAcrossEngines) {
-  simt::Profiler::set_enabled(true);
+// profiles — same per-block histograms, same lane histograms, bit for bit.
+TEST(ProfilerTest, SnapshotDeterminismAcrossEngines) {
   const graph::Csr g =
       graph::generate_power_law(300, /*min_degree=*/1, /*max_degree=*/60,
                                 /*mean_degree=*/4.0, /*seed=*/99, true);
 
   const auto run = [&](const simt::ExecPolicy& policy) {
-    simt::Profiler::instance().reset();
+    simt::Profile profile;
+    const simt::ProfileScope scope(profile);
     simt::Device dev(simt::DeviceSpec::k20(), 24, policy);
-    {
-      simt::Session s = dev.session();
-      (void)apps::run_sssp(dev, g, 0, nested::LoopTemplate::kDbufShared);
-      (void)s.report();
-    }
-    return simt::Profiler::instance().snapshot();
+    simt::Session s = dev.session();
+    (void)apps::run_sssp(dev, g, 0, nested::LoopTemplate::kDbufShared);
+    (void)s.report();
+    return profile;
   };
-  const simt::ProfileSnapshot serial = run(simt::ExecPolicy::serial());
-  const simt::ProfileSnapshot parallel = run(simt::ExecPolicy::parallel(4));
+  const simt::Profile serial = run(simt::ExecPolicy::serial());
+  const simt::Profile parallel = run(simt::ExecPolicy::parallel(4));
 
   ASSERT_EQ(serial.kernels.size(), parallel.kernels.size());
   EXPECT_EQ(serial.total_cycles, parallel.total_cycles);
@@ -215,10 +213,12 @@ TEST_F(ProfilerTest, SnapshotDeterminismAcrossEngines) {
   }
 }
 
-TEST_F(ProfilerTest, ProfileJsonRoundTripIsByteStable) {
-  simt::Profiler::set_enabled(true);
+TEST(ProfilerTest, ProfileJsonRoundTripIsByteStable) {
+  bench::SuiteProfile profile;
+  profile.suite = "unit";
   simt::Device dev;
   {
+    const simt::ProfileScope scope(profile.prof);
     simt::Session s = dev.session();
     tiny_workload(dev);
     dev.prof_counter("tiny/track", 5.0);
@@ -226,9 +226,6 @@ TEST_F(ProfilerTest, ProfileJsonRoundTripIsByteStable) {
     dev.prof_instant("tiny/flush", "queue");
     (void)s.report();
   }
-  bench::SuiteProfile profile;
-  profile.suite = "unit";
-  profile.prof = simt::Profiler::instance().snapshot();
 
   const std::string text = bench::to_json(profile);
   const bench::SuiteProfile parsed = bench::parse_profile_json(text);
@@ -242,7 +239,7 @@ TEST_F(ProfilerTest, ProfileJsonRoundTripIsByteStable) {
   EXPECT_EQ(bench::to_json(parsed), text);
 }
 
-TEST_F(ProfilerTest, SchemaVersionMismatchIsRejected) {
+TEST(ProfilerTest, SchemaVersionMismatchIsRejected) {
   bench::SuiteProfile profile;
   profile.suite = "unit";
   std::string text = bench::to_json(profile);
@@ -256,7 +253,7 @@ TEST_F(ProfilerTest, SchemaVersionMismatchIsRejected) {
 
 // Files are regenerated, never migrated: a v1 profile (no critical-path
 // sections) is refused with the version named.
-TEST_F(ProfilerTest, SchemaV1ProfileIsRejected) {
+TEST(ProfilerTest, SchemaV1ProfileIsRejected) {
   const std::string v1 =
       "{\n"
       "  \"schema_version\": 1,\n"
@@ -286,21 +283,20 @@ TEST_F(ProfilerTest, SchemaV1ProfileIsRejected) {
 // graph the delayed-buffer template spreads the relaxation work across
 // blocks far more evenly than the thread-mapped baseline, so its
 // load-imbalance factor (max/mean per-block cycles) must be strictly lower.
-TEST_F(ProfilerTest, DbufSharedFlattensSsspImbalance) {
-  simt::Profiler::set_enabled(true);
+TEST(ProfilerTest, DbufSharedFlattensSsspImbalance) {
   const graph::Csr g =
       graph::generate_citeseer_like(0.1, /*seed=*/20150707, /*weighted=*/true);
 
   const auto imbalance_of = [&](nested::LoopTemplate tmpl,
                                 const std::string& kernel) {
-    simt::Profiler::instance().reset();
+    simt::Profile snap;
+    const simt::ProfileScope scope(snap);
     simt::Device dev;
     {
       simt::Session s = dev.session();
       (void)apps::run_sssp(dev, g, 0, tmpl);
       (void)s.report();
     }
-    const simt::ProfileSnapshot snap = simt::Profiler::instance().snapshot();
     const simt::KernelProfile* k = snap.find(kernel);
     EXPECT_NE(k, nullptr) << kernel;
     return k == nullptr ? 0.0 : k->imbalance();
@@ -312,6 +308,39 @@ TEST_F(ProfilerTest, DbufSharedFlattensSsspImbalance) {
       imbalance_of(nested::LoopTemplate::kDbufShared, "sssp/dbuf-shared/main");
   EXPECT_GT(baseline, 1.0);
   EXPECT_LT(dbuf, baseline);
+}
+
+// Each thread owns the profile its scope opened: two threads running the
+// same SSSP sessions at once each record exactly the bytes a serial run
+// records, with nothing from the other thread mixed in.
+TEST(ProfileDeterminism, ThreadsOwnTheirProfiles) {
+  const graph::Csr g =
+      graph::generate_power_law(300, /*min_degree=*/1, /*max_degree=*/60,
+                                /*mean_degree=*/4.0, /*seed=*/7, true);
+  const auto profile_sssp = [&g]() {
+    bench::SuiteProfile profile{"threads", {}};
+    const simt::ProfileScope scope(profile.prof);
+    simt::Device dev;
+    for (const nested::LoopTemplate tmpl :
+         {nested::LoopTemplate::kDualQueue, nested::LoopTemplate::kDbufShared,
+          nested::LoopTemplate::kConsGrid}) {
+      simt::Session s = dev.session();
+      (void)apps::run_sssp(dev, g, 0, tmpl);
+      (void)s.report();
+    }
+    return bench::to_json(profile);
+  };
+  const std::string serial = profile_sssp();
+  ASSERT_NE(serial.find("dual-queue/small_count"), std::string::npos);
+
+  std::string first, second;
+  std::thread a([&] { first = profile_sssp(); });
+  std::thread b([&] { second = profile_sssp(); });
+  a.join();
+  b.join();
+  EXPECT_EQ(first, serial);
+  EXPECT_EQ(second, serial);
+  EXPECT_EQ(simt::active_profile(), nullptr);
 }
 
 }  // namespace

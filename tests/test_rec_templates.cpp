@@ -8,12 +8,14 @@
 #include "src/graph/generators.h"
 #include "src/rec/tree_traversal.h"
 #include "src/tree/tree.h"
+#include "tests/session.h"
 
 namespace simt = nestpar::simt;
 namespace rec = nestpar::rec;
 namespace tree = nestpar::tree;
 namespace apps = nestpar::apps;
 namespace graph = nestpar::graph;
+namespace test = nestpar::test;
 
 using rec::RecTemplate;
 using rec::TreeAlgo;
@@ -105,9 +107,10 @@ TEST(RecStructure, HierSpawnsOutdegreePlusOneGrids) {
   const int d = 8;
   const tree::Tree tr = tree::generate_tree({.depth = 3, .outdegree = d}, 2);
   simt::Device dev;
+  simt::Session s = dev.session();
   rec::run_tree_traversal(
       dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecHier});
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.device_grids, static_cast<std::uint64_t>(d));
 }
 
@@ -116,9 +119,10 @@ TEST(RecStructure, HierGridCountGrowsOneLevelPerExtraDepth) {
   const int d = 4;
   const tree::Tree tr = tree::generate_tree({.depth = 4, .outdegree = d}, 2);
   simt::Device dev;
+  simt::Session s = dev.session();
   rec::run_tree_traversal(
       dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecHier});
-  EXPECT_EQ(dev.report().device_grids, static_cast<std::uint64_t>(d + d * d));
+  EXPECT_EQ(s.report().device_grids, static_cast<std::uint64_t>(d + d * d));
 }
 
 TEST(RecStructure, NaiveSpawnsOneGridPerInternalNode) {
@@ -127,13 +131,14 @@ TEST(RecStructure, NaiveSpawnsOneGridPerInternalNode) {
   const tree::Tree tr = tree::generate_tree({.depth = 3, .outdegree = d}, 2);
   std::uint64_t internal = 0;
   for (std::uint32_t v = 0; v < tr.num_nodes(); ++v) {
-    if (!tr.is_leaf(v)) ++internal;
+    if (tr.num_children(v) != 0) ++internal;
   }
   simt::Device dev;
+  simt::Session s = dev.session();
   rec::run_tree_traversal(
       dev, tr,
       {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecNaive});
-  const auto rep = dev.report();
+  const auto rep = s.report();
   // Every internal node except the (host-launched) root spawns one grid.
   EXPECT_EQ(rep.device_grids, internal - 1);
 }
@@ -142,13 +147,15 @@ TEST(RecStructure, FlatDoesFarMoreAtomicsThanHier) {
   // Paper Figs. 7/8(c): flat atomics ~ sum of node depths; hier ~ #nodes.
   const tree::Tree tr = tree::generate_tree({.depth = 4, .outdegree = 8}, 3);
   simt::Device dev;
-  rec::run_tree_traversal(
-      dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kFlat});
-  const auto flat_atomics = dev.report().aggregate.atomic_ops;
-  dev.reset();
-  rec::run_tree_traversal(
-      dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecHier});
-  const auto hier_atomics = dev.report().aggregate.atomic_ops;
+  const auto flat_atomics = test::timed(dev, [&] {
+    rec::run_tree_traversal(
+        dev, tr, {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kFlat});
+  }).aggregate.atomic_ops;
+  const auto hier_atomics = test::timed(dev, [&] {
+    rec::run_tree_traversal(dev, tr,
+                            {.algo = TreeAlgo::kDescendants,
+                             .tmpl = RecTemplate::kRecHier});
+  }).aggregate.atomic_ops;
   EXPECT_GT(flat_atomics, 3 * hier_atomics);
 }
 
@@ -160,6 +167,7 @@ TEST(RecStructure, StreamsOptionChangesStreamAssignment) {
   };
   const auto run = [](const tree::Tree& tr, int streams_per_block) {
     simt::Device dev;
+    simt::Session s = dev.session();
     rec::RecOptions opt;
     opt.streams_per_block = streams_per_block;
     rec::TreeRunResult r = rec::run_tree_traversal(
@@ -167,7 +175,7 @@ TEST(RecStructure, StreamsOptionChangesStreamAssignment) {
         {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kRecNaive,
          .opt = opt});
     return Outcome{std::move(r.values), dev.graph().num_streams,
-                   dev.report().total_cycles};
+                   s.report().total_cycles};
   };
   const tree::Tree tr = tree::generate_tree({.depth = 3, .outdegree = 6}, 4);
   const Outcome one = run(tr, 1);
@@ -198,10 +206,11 @@ TEST(RecStructure, RejectsBadOptions) {
 TEST(RecStructure, AutoropesUsesNoAtomicsOrNestedKernels) {
   const tree::Tree tr = tree::generate_tree({.depth = 3, .outdegree = 24}, 6);
   simt::Device dev;
+  simt::Session s = dev.session();
   rec::run_tree_traversal(
       dev, tr,
       {.algo = TreeAlgo::kDescendants, .tmpl = RecTemplate::kAutoropes});
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.aggregate.atomic_ops, 0u);
   EXPECT_EQ(rep.device_grids, 0u);
 }
@@ -235,18 +244,18 @@ TEST_P(BfsCorrectness, AllVariantsAgreeWithSerial) {
   EXPECT_EQ(apps::bfs_serial_recursive(g, 0), expect);
 
   simt::Device dev;
-  EXPECT_EQ(apps::bfs_flat_gpu(dev, g, 0), expect);
-  dev.reset();
-  EXPECT_EQ(apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive),
-            expect);
-  dev.reset();
-  EXPECT_EQ(apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecHier), expect);
-  dev.reset();
   rec::RecOptions streams;
   streams.streams_per_block = 2;
-  EXPECT_EQ(
-      apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive, streams),
-      expect);
+  for (int run = 0; run < 4; ++run) {
+    simt::Session s = dev.session();  // each variant records afresh
+    const auto lv =
+        run == 0 ? apps::bfs_flat_gpu(dev, g, 0)
+        : run == 1 ? apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive)
+        : run == 2 ? apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecHier)
+                   : apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive,
+                                             streams);
+    EXPECT_EQ(lv, expect) << "run " << run;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BfsCorrectness, testing::Values(1, 2, 3, 4));
@@ -267,7 +276,7 @@ TEST(Bfs, IsolatedSourceTerminates) {
   const graph::Csr g = graph::build_csr(3, std::span<const graph::Edge>{});
   simt::Device dev;
   for (auto run : {0, 1, 2}) {
-    dev.reset();
+    simt::Session s = dev.session();
     const auto lv = run == 0 ? apps::bfs_flat_gpu(dev, g, 1)
                    : run == 1
                        ? apps::bfs_recursive_gpu(dev, g, 1,
@@ -282,12 +291,12 @@ TEST(Bfs, IsolatedSourceTerminates) {
 TEST(Bfs, RecursiveVariantsSpawnManyGrids) {
   const graph::Csr g = graph::generate_uniform_random(500, 1, 16, 9);
   simt::Device dev;
-  apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive);
-  const auto naive = dev.report();
+  const auto naive = test::timed(dev, [&] {
+    apps::bfs_recursive_gpu(dev, g, 0, RecTemplate::kRecNaive);
+  });
   EXPECT_GT(naive.device_grids, 100u);  // ~ one grid per reached node.
-  dev.reset();
-  apps::bfs_flat_gpu(dev, g, 0);
-  const auto flat = dev.report();
+  const auto flat =
+      test::timed(dev, [&] { apps::bfs_flat_gpu(dev, g, 0); });
   EXPECT_EQ(flat.device_grids, 0u);
   EXPECT_EQ(flat.aggregate.atomic_ops, 0u);  // The paper's key contrast.
 }

@@ -6,8 +6,10 @@
 
 #include "src/simt/device.h"
 #include "src/simt/scheduler.h"
+#include "tests/session.h"
 
 namespace simt = nestpar::simt;
+namespace test = nestpar::test;
 
 namespace {
 
@@ -75,12 +77,15 @@ TEST(SchedulerConcurrency, GridSlotLimitSerializesExcessGrids) {
   spec.max_concurrent_grids = 2;
   simt::Device narrow(spec);
   simt::Device wide;  // default: 32 slots
+  simt::Session narrow_session = narrow.session();
+  simt::Session wide_session = wide.session();
   for (int i = 0; i < 8; ++i) {
     auto work = [](simt::LaneCtx& t) { t.compute(20000); };
     narrow.launch_threads(cfg(1, 64, "g"), work, simt::StreamHandle{i + 1});
     wide.launch_threads(cfg(1, 64, "g"), work, simt::StreamHandle{i + 1});
   }
-  EXPECT_GT(narrow.report().total_cycles, wide.report().total_cycles * 1.5);
+  EXPECT_GT(narrow_session.report().total_cycles,
+            wide_session.report().total_cycles * 1.5);
 }
 
 TEST(SchedulerOccupancy, SharedMemoryLimitsResidency) {
@@ -88,25 +93,27 @@ TEST(SchedulerOccupancy, SharedMemoryLimitsResidency) {
   // so 26 such blocks need two waves.
   simt::Device dev;
   auto work = [](simt::LaneCtx& t) { t.compute(10000); };
-  dev.launch_threads(cfg(26, 64, "fat", 40 * 1024), work);
-  const double fat = dev.report().total_cycles;
-  dev.reset();
-  dev.launch_threads(cfg(26, 64, "thin", 1024), work);
-  const double thin = dev.report().total_cycles;
+  const double fat = test::timed(dev, [&] {
+    dev.launch_threads(cfg(26, 64, "fat", 40 * 1024), work);
+  }).total_cycles;
+  const double thin = test::timed(dev, [&] {
+    dev.launch_threads(cfg(26, 64, "thin", 1024), work);
+  }).total_cycles;
   EXPECT_GT(fat, thin * 1.5);
 }
 
 TEST(SchedulerOccupancy, LowOccupancyExposesLatency) {
   // One resident warp cannot hide latency; many warps can.
   simt::Device dev;
-  dev.launch_threads(cfg(13, 32, "sparse"),
-                     [](simt::LaneCtx& t) { t.compute(24000); });
-  const double sparse = dev.report().total_cycles;
-  dev.reset();
+  const double sparse = test::timed(dev, [&] {
+    dev.launch_threads(cfg(13, 32, "sparse"),
+                       [](simt::LaneCtx& t) { t.compute(24000); });
+  }).total_cycles;
   // Same total work, 24 warps per SM.
-  dev.launch_threads(cfg(13, 768, "dense"),
-                     [](simt::LaneCtx& t) { t.compute(1000); });
-  const double dense = dev.report().total_cycles;
+  const double dense = test::timed(dev, [&] {
+    dev.launch_threads(cfg(13, 768, "dense"),
+                       [](simt::LaneCtx& t) { t.compute(1000); });
+  }).total_cycles;
   EXPECT_GT(sparse, dense * 2);
 }
 
@@ -175,13 +182,14 @@ TEST(SchedulerBigGrid, ManyBlocksWaveThroughSms) {
   // threads keep latency hiding saturated in both cases, isolating the
   // wave effect from the occupancy effect.)
   simt::Device dev;
-  dev.launch_threads(cfg(13, 768, "wave"),
-                     [](simt::LaneCtx& t) { t.compute(10000); });
-  const double one_wave = dev.report().total_cycles;
-  dev.reset();
-  dev.launch_threads(cfg(130, 768, "waves"),
-                     [](simt::LaneCtx& t) { t.compute(10000); });
-  const double ten_waves = dev.report().total_cycles;
+  const double one_wave = test::timed(dev, [&] {
+    dev.launch_threads(cfg(13, 768, "wave"),
+                       [](simt::LaneCtx& t) { t.compute(10000); });
+  }).total_cycles;
+  const double ten_waves = test::timed(dev, [&] {
+    dev.launch_threads(cfg(130, 768, "waves"),
+                       [](simt::LaneCtx& t) { t.compute(10000); });
+  }).total_cycles;
   EXPECT_GT(ten_waves, one_wave * 5);
   EXPECT_LT(ten_waves, one_wave * 20);
 }

@@ -70,8 +70,7 @@ void expect_accounting(const serve::ServeStats& s) {
 TEST(VirtualClock, AdvancesMonotonically) {
   simt::VirtualClock clock;
   EXPECT_EQ(clock.now_us(), 0.0);
-  clock.advance_to(10.0);
-  clock.advance_by(5.0);
+  clock.advance_to(15.0);
   EXPECT_EQ(clock.now_us(), 15.0);
   clock.advance_to(15.0);  // No-op move to "now" is legal.
   EXPECT_EQ(clock.now_us(), 15.0);
@@ -81,7 +80,6 @@ TEST(VirtualClock, RefusesToRewind) {
   simt::VirtualClock clock;
   clock.advance_to(100.0);
   EXPECT_THROW(clock.advance_to(99.0), std::logic_error);
-  EXPECT_THROW(clock.advance_by(-1.0), std::logic_error);
   EXPECT_EQ(clock.now_us(), 100.0);
 }
 

@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "src/simt/device.h"
+#include "tests/session.h"
 
 namespace simt = nestpar::simt;
+namespace test = nestpar::test;
 
 namespace {
 
@@ -27,36 +29,6 @@ TEST(DeviceSpec, K20Defaults) {
   EXPECT_EQ(spec.cores_per_sm, 192);
   EXPECT_EQ(spec.warp_size, 32);
   EXPECT_EQ(spec.max_warps_per_sm, 64);
-}
-
-TEST(DeviceSpec, OccupancyLimitedByWarps) {
-  const auto spec = simt::DeviceSpec::k20();
-  // 1024-thread blocks = 32 warps: only 2 fit in 64 warps.
-  EXPECT_EQ(spec.max_resident_blocks(1024, 0, 16), 2);
-}
-
-TEST(DeviceSpec, OccupancyLimitedByBlockSlots) {
-  const auto spec = simt::DeviceSpec::k20();
-  // 32-thread blocks: warp limit would allow 64, but only 16 block slots.
-  EXPECT_EQ(spec.max_resident_blocks(32, 0, 16), 16);
-}
-
-TEST(DeviceSpec, OccupancyLimitedBySharedMemory) {
-  const auto spec = simt::DeviceSpec::k20();
-  EXPECT_EQ(spec.max_resident_blocks(64, 24 * 1024, 16), 2);
-}
-
-TEST(DeviceSpec, OccupancyLimitedByRegisters) {
-  const auto spec = simt::DeviceSpec::k20();
-  // 256 threads x 128 regs = 32768 regs per block; 65536 total -> 2 blocks.
-  EXPECT_EQ(spec.max_resident_blocks(256, 0, 128), 2);
-}
-
-TEST(DeviceSpec, OccupancyRejectsOversizedBlock) {
-  const auto spec = simt::DeviceSpec::k20();
-  EXPECT_THROW(spec.max_resident_blocks(2048, 0, 16), std::invalid_argument);
-  EXPECT_THROW(spec.max_resident_blocks(64, 96 * 1024, 16),
-               std::invalid_argument);
 }
 
 TEST(DeviceSpec, WarpsPerBlockRoundsUp) {
@@ -119,20 +91,18 @@ TEST(Execution, AtomicAddReturnsOldValue) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(olds[i], i);
 }
 
-TEST(Execution, AtomicMinMaxCasExch) {
+TEST(Execution, AtomicMinMaxCas) {
   simt::Device dev;
-  int mn = 100, mx = -1, cas = 7, ex = 1;
+  int mn = 100, mx = -1, cas = 7;
   dev.launch_threads(cfg(1, 32, "rmw"), [&](simt::LaneCtx& t) {
     const int i = t.global_idx();
     t.atomic_min(&mn, i);
     t.atomic_max(&mx, i);
     t.atomic_cas(&cas, 7, 42);
-    t.atomic_exch(&ex, i);
   });
   EXPECT_EQ(mn, 0);
   EXPECT_EQ(mx, 31);
   EXPECT_EQ(cas, 42);  // Only the first lane's CAS succeeds.
-  EXPECT_EQ(ex, 31);
 }
 
 TEST(Execution, PhasesSeparatedByImplicitBarrier) {
@@ -211,79 +181,87 @@ TEST(Execution, NestedLaunchRunsEagerly) {
 
 TEST(WarpMetrics, FullWarpIsHundredPercentEfficient) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(1, 32, "full"),
                      [&](simt::LaneCtx& t) { t.compute(4); });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_DOUBLE_EQ(rep.aggregate.warp_execution_efficiency(), 1.0);
 }
 
 TEST(WarpMetrics, SingleActiveLaneIsLowEfficiency) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(1, 32, "one"), [&](simt::LaneCtx& t) {
     if (t.lane() == 0) t.compute(10);
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_NEAR(rep.aggregate.warp_execution_efficiency(), 1.0 / 32.0, 1e-9);
 }
 
 TEST(WarpMetrics, DivergentTripCountsLowerEfficiency) {
   simt::Device dev;
+  simt::Session s = dev.session();
   // Lane i performs i+1 compute steps: efficiency = avg(1..32)/32 ~ 0.515.
   dev.launch_threads(cfg(1, 32, "tri"), [&](simt::LaneCtx& t) {
     for (int i = 0; i <= t.lane(); ++i) t.compute();
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_NEAR(rep.aggregate.warp_execution_efficiency(), 33.0 / 64.0, 1e-9);
 }
 
 TEST(WarpMetrics, CoalescedLoadsAreEfficient) {
   simt::Device dev;
+  simt::Session s = dev.session();
   alignas(128) static float data[32];
   dev.launch_threads(cfg(1, 32, "coalesced"), [&](simt::LaneCtx& t) {
     t.ld(&data[t.lane()]);
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   // 32 x 4B consecutive = one 128B segment: 100% efficient.
   EXPECT_DOUBLE_EQ(rep.aggregate.gld_efficiency(), 1.0);
 }
 
 TEST(WarpMetrics, StridedLoadsAreInefficient) {
   simt::Device dev;
+  simt::Session s = dev.session();
   std::vector<float> data(32 * 64);
   dev.launch_threads(cfg(1, 32, "strided"), [&](simt::LaneCtx& t) {
     t.ld(&data[static_cast<std::size_t>(t.lane()) * 64]);
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   // Each lane hits its own 128B segment: 4/128 efficiency.
   EXPECT_NEAR(rep.aggregate.gld_efficiency(), 4.0 / 128.0, 1e-9);
 }
 
 TEST(WarpMetrics, StoreEfficiencyTracked) {
   simt::Device dev;
+  simt::Session s = dev.session();
   std::vector<float> data(32 * 64);
   dev.launch_threads(cfg(1, 32, "stores"), [&](simt::LaneCtx& t) {
     t.st(&data[static_cast<std::size_t>(t.lane()) * 64], 1.0f);
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_NEAR(rep.aggregate.gst_efficiency(), 4.0 / 128.0, 1e-9);
   EXPECT_DOUBLE_EQ(rep.aggregate.gld_efficiency(), 0.0);
 }
 
 TEST(WarpMetrics, AtomicsCounted) {
   simt::Device dev;
+  simt::Session s = dev.session();
   int counter = 0;
   dev.launch_threads(cfg(2, 64, "atomics"),
                      [&](simt::LaneCtx& t) { t.atomic_add(&counter, 1); });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.aggregate.atomic_ops, 128u);
 }
 
 TEST(WarpMetrics, DeviceLaunchesCounted) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(1, 8, "parent"), [&](simt::LaneCtx& t) {
     EXPECT_TRUE(t.launch_threads(cfg(1, 32, "child"), [](simt::LaneCtx&) {}));
   });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.aggregate.device_launches, 8u);
   EXPECT_EQ(rep.device_grids, 8u);
   EXPECT_EQ(rep.grids, 9u);
@@ -293,40 +271,43 @@ TEST(WarpMetrics, DeviceLaunchesCounted) {
 
 TEST(Timing, MoreWorkTakesLonger) {
   simt::Device dev;
-  dev.launch_threads(cfg(13, 192, "small"),
-                     [&](simt::LaneCtx& t) { t.compute(100); });
-  const double small = dev.report().total_cycles;
-  dev.reset();
-  dev.launch_threads(cfg(13, 192, "big"),
-                     [&](simt::LaneCtx& t) { t.compute(10000); });
-  const double big = dev.report().total_cycles;
+  const double small = test::timed(dev, [&] {
+    dev.launch_threads(cfg(13, 192, "small"),
+                       [&](simt::LaneCtx& t) { t.compute(100); });
+  }).total_cycles;
+  const double big = test::timed(dev, [&] {
+    dev.launch_threads(cfg(13, 192, "big"),
+                       [&](simt::LaneCtx& t) { t.compute(10000); });
+  }).total_cycles;
   EXPECT_GT(big, small * 10);
 }
 
 TEST(Timing, ParallelismBeatsSerialization) {
   // The same total work spread over many blocks should be faster than in one.
   simt::Device dev;
-  dev.launch_threads(cfg(1, 192, "narrow"),
-                     [&](simt::LaneCtx& t) { t.compute(26 * 1000); });
-  const double narrow = dev.report().total_cycles;
-  dev.reset();
-  dev.launch_threads(cfg(26, 192, "wide"),
-                     [&](simt::LaneCtx& t) { t.compute(1000); });
-  const double wide = dev.report().total_cycles;
+  const double narrow = test::timed(dev, [&] {
+    dev.launch_threads(cfg(1, 192, "narrow"),
+                       [&](simt::LaneCtx& t) { t.compute(26 * 1000); });
+  }).total_cycles;
+  const double wide = test::timed(dev, [&] {
+    dev.launch_threads(cfg(26, 192, "wide"),
+                       [&](simt::LaneCtx& t) { t.compute(1000); });
+  }).total_cycles;
   EXPECT_GT(narrow, wide * 5);
 }
 
 TEST(Timing, ManyTinyGridsPayLaunchOverhead) {
   simt::Device dev;
-  for (int i = 0; i < 64; ++i) {
-    dev.launch_threads(cfg(1, 32, "tiny"),
+  const double many = test::timed(dev, [&] {
+    for (int i = 0; i < 64; ++i) {
+      dev.launch_threads(cfg(1, 32, "tiny"),
+                         [&](simt::LaneCtx& t) { t.compute(1); });
+    }
+  }).total_cycles;
+  const double one = test::timed(dev, [&] {
+    dev.launch_threads(cfg(64, 32, "fused"),
                        [&](simt::LaneCtx& t) { t.compute(1); });
-  }
-  const double many = dev.report().total_cycles;
-  dev.reset();
-  dev.launch_threads(cfg(64, 32, "fused"),
-                     [&](simt::LaneCtx& t) { t.compute(1); });
-  const double one = dev.report().total_cycles;
+  }).total_cycles;
   EXPECT_GT(many, one * 4);
 }
 
@@ -334,36 +315,39 @@ TEST(Timing, StreamsOverlapIndependentGrids) {
   simt::Device dev;
   auto heavy = [&](simt::LaneCtx& t) { t.compute(50000); };
   // Two big single-block grids in the same stream: serialized.
-  dev.launch_threads(cfg(1, 192, "a"), heavy, simt::StreamHandle{0});
-  dev.launch_threads(cfg(1, 192, "b"), heavy, simt::StreamHandle{0});
-  const double serial = dev.report().total_cycles;
-  dev.reset();
-  dev.launch_threads(cfg(1, 192, "a"), heavy, simt::StreamHandle{1});
-  dev.launch_threads(cfg(1, 192, "b"), heavy, simt::StreamHandle{2});
-  const double overlapped = dev.report().total_cycles;
+  const double serial = test::timed(dev, [&] {
+    dev.launch_threads(cfg(1, 192, "a"), heavy, simt::StreamHandle{0});
+    dev.launch_threads(cfg(1, 192, "b"), heavy, simt::StreamHandle{0});
+  }).total_cycles;
+  const double overlapped = test::timed(dev, [&] {
+    dev.launch_threads(cfg(1, 192, "a"), heavy, simt::StreamHandle{1});
+    dev.launch_threads(cfg(1, 192, "b"), heavy, simt::StreamHandle{2});
+  }).total_cycles;
   EXPECT_LT(overlapped, serial * 0.7);
 }
 
 TEST(Timing, AtomicHotspotBoundsKernelTime) {
   simt::Device dev;
   int hot = 0;
-  dev.launch_threads(cfg(64, 192, "hot"),
-                     [&](simt::LaneCtx& t) { t.atomic_add(&hot, 1); });
-  const double hotspot = dev.report().total_cycles;
-  dev.reset();
+  const double hotspot = test::timed(dev, [&] {
+    dev.launch_threads(cfg(64, 192, "hot"),
+                       [&](simt::LaneCtx& t) { t.atomic_add(&hot, 1); });
+  }).total_cycles;
   std::vector<int> spread(64 * 192, 0);
-  dev.launch_threads(cfg(64, 192, "spread"), [&](simt::LaneCtx& t) {
-    t.atomic_add(&spread[t.global_idx()], 1);
-  });
-  const double scattered = dev.report().total_cycles;
+  const double scattered = test::timed(dev, [&] {
+    dev.launch_threads(cfg(64, 192, "spread"), [&](simt::LaneCtx& t) {
+      t.atomic_add(&spread[t.global_idx()], 1);
+    });
+  }).total_cycles;
   EXPECT_GT(hotspot, scattered * 2);
 }
 
 TEST(Timing, OccupancyMetricPopulated) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(26, 192, "occ"),
                      [&](simt::LaneCtx& t) { t.compute(1000); });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   const double occ = rep.aggregate.warp_occupancy(dev.spec().max_warps_per_sm);
   EXPECT_GT(occ, 0.0);
   EXPECT_LE(occ, 1.0);
@@ -371,13 +355,14 @@ TEST(Timing, OccupancyMetricPopulated) {
 
 TEST(Timing, ReportGroupsKernelsByName) {
   simt::Device dev;
+  simt::Session s = dev.session();
   for (int i = 0; i < 3; ++i) {
     dev.launch_threads(cfg(1, 32, "repeat"),
                        [&](simt::LaneCtx& t) { t.compute(1); });
   }
   dev.launch_threads(cfg(1, 32, "other"),
                      [&](simt::LaneCtx& t) { t.compute(1); });
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.kernel("repeat").invocations, 3u);
   EXPECT_EQ(rep.kernel("other").invocations, 1u);
   EXPECT_THROW(rep.kernel("missing"), std::out_of_range);
@@ -385,17 +370,20 @@ TEST(Timing, ReportGroupsKernelsByName) {
 
 TEST(Timing, ResetClearsSession) {
   simt::Device dev;
-  dev.launch_threads(cfg(1, 32, "x"), [&](simt::LaneCtx& t) { t.compute(1); });
-  dev.reset();
-  const auto rep = dev.report();
+  (void)test::timed(dev, [&] {
+    dev.launch_threads(cfg(1, 32, "x"),
+                       [&](simt::LaneCtx& t) { t.compute(1); });
+  });
+  const auto rep = test::timed(dev, [] {});
   EXPECT_EQ(rep.grids, 0u);
   EXPECT_DOUBLE_EQ(rep.total_cycles, 0.0);
 }
 
 TEST(Timing, EmptyGridStillFinishes) {
   simt::Device dev;
+  simt::Session s = dev.session();
   dev.launch_threads(cfg(4, 64, "noop"), [](simt::LaneCtx&) {});
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_GT(rep.total_cycles, 0.0);  // Launch + dispatch overheads.
 }
 

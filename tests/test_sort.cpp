@@ -6,9 +6,11 @@
 #include <algorithm>
 
 #include "src/sort/sort.h"
+#include "tests/session.h"
 
 namespace simt = nestpar::simt;
 namespace sort = nestpar::sort;
+namespace test = nestpar::test;
 
 namespace {
 
@@ -47,28 +49,26 @@ TEST_P(SortCorrectness, SortsRandomKeys) {
 
 TEST_P(SortCorrectness, SortsAdversarialPatterns) {
   simt::Device dev;
+  // Each pattern is sorted in its own session.
+  const auto sorts = [&](std::vector<int> keys) {
+    simt::Session s = dev.session();
+    auto expect = keys;
+    std::sort(expect.begin(), expect.end());
+    run_algo(dev, GetParam().algo, keys);
+    EXPECT_EQ(keys, expect);
+  };
   // Already sorted.
   std::vector<int> asc(GetParam().n);
   for (std::size_t i = 0; i < asc.size(); ++i) asc[i] = static_cast<int>(i);
-  auto expect = asc;
-  run_algo(dev, GetParam().algo, asc);
-  EXPECT_EQ(asc, expect);
+  sorts(asc);
   // Reverse sorted.
-  dev.reset();
   std::vector<int> desc(GetParam().n);
   for (std::size_t i = 0; i < desc.size(); ++i) {
     desc[i] = static_cast<int>(desc.size() - i);
   }
-  auto expect2 = desc;
-  std::sort(expect2.begin(), expect2.end());
-  run_algo(dev, GetParam().algo, desc);
-  EXPECT_EQ(desc, expect2);
+  sorts(desc);
   // All equal.
-  dev.reset();
-  std::vector<int> same(GetParam().n, 7);
-  auto expect3 = same;
-  run_algo(dev, GetParam().algo, same);
-  EXPECT_EQ(same, expect3);
+  sorts(std::vector<int>(GetParam().n, 7));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,22 +84,22 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SortStructure, MergeSortIsFlat) {
   auto keys = sort::make_keys(20000, 1);
   simt::Device dev;
+  simt::Session s = dev.session();
   sort::mergesort(dev, keys);
-  const auto rep = dev.report();
+  const auto rep = s.report();
   EXPECT_EQ(rep.device_grids, 0u);  // No dynamic parallelism.
 }
 
 TEST(SortStructure, QuickSortsUseDynamicParallelism) {
   auto keys = sort::make_keys(20000, 2);
   simt::Device dev;
-  sort::simple_quicksort(dev, keys);
-  const auto simple = dev.report();
+  const auto simple =
+      test::timed(dev, [&] { sort::simple_quicksort(dev, keys); });
   EXPECT_GT(simple.device_grids, 100u);
 
   auto keys2 = sort::make_keys(20000, 2);
-  dev.reset();
-  sort::advanced_quicksort(dev, keys2);
-  const auto advanced = dev.report();
+  const auto advanced =
+      test::timed(dev, [&] { sort::advanced_quicksort(dev, keys2); });
   EXPECT_GT(advanced.device_grids, 10u);
   // Advanced spawns far fewer (bigger leaves) than Simple.
   EXPECT_LT(advanced.device_grids, simple.device_grids);
@@ -110,12 +110,13 @@ TEST(SortStructure, DepthLimitCapsRecursion) {
   sort::QuickSortOptions opt;
   opt.max_depth = 4;
   simt::Device dev;
+  simt::Session s = dev.session();
   sort::simple_quicksort(dev, keys, opt);
   auto expect = sort::make_keys(50000, 3);
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(keys, expect);
   // <= 2^0 + 2^1 + ... + 2^4 grids of partitioning plus leaf sorts.
-  EXPECT_LE(dev.report().grids, 1u + 2u + 4u + 8u + 16u);
+  EXPECT_LE(s.report().grids, 1u + 2u + 4u + 8u + 16u);
 }
 
 TEST(SortStructure, MergeSortRejectsBadTile) {

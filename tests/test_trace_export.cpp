@@ -2,8 +2,8 @@
 // must be valid JSON with one complete event per launched grid, one timeline
 // row (tid) per stream, and the per-grid metrics in the event args — parsed
 // back with the same bench JSON parser the results pipeline uses. Also
-// covers the profiling extension: counter/instant events appear only when
-// the profiler is on.
+// covers the profiling extension: counter/instant events appear only under
+// an active profile, and only the samples recorded into that profile.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,23 +22,6 @@ namespace bench = nestpar::bench;
 
 namespace {
 
-/// Trace tests must not inherit or leak global profiler state.
-class TraceExportTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    was_enabled_ = simt::Profiler::enabled();
-    simt::Profiler::set_enabled(false);
-    simt::Profiler::instance().reset();
-  }
-  void TearDown() override {
-    simt::Profiler::set_enabled(was_enabled_);
-    simt::Profiler::instance().reset();
-  }
-
- private:
-  bool was_enabled_ = false;
-};
-
 void launch_named(simt::Device& dev, const std::string& name, int stream,
                   int grid_blocks) {
   simt::LaunchConfig cfg;
@@ -56,7 +39,7 @@ bench::JsonValue export_and_parse(simt::Device& dev) {
   return bench::parse_json(out.str());
 }
 
-TEST_F(TraceExportTest, OneCompleteEventPerGridOneRowPerStream) {
+TEST(TraceExportTest, OneCompleteEventPerGridOneRowPerStream) {
   simt::Device dev;
   simt::Session s = dev.session();
   launch_named(dev, "trace/a", 0, 2);
@@ -103,7 +86,7 @@ TEST_F(TraceExportTest, OneCompleteEventPerGridOneRowPerStream) {
   EXPECT_EQ(trace_tids, graph_streams);
 }
 
-TEST_F(TraceExportTest, EmptySessionYieldsEmptyEventArray) {
+TEST(TraceExportTest, EmptySessionYieldsEmptyEventArray) {
   simt::Device dev;
   simt::Session s = dev.session();
   const bench::JsonValue doc = export_and_parse(dev);
@@ -114,16 +97,16 @@ TEST_F(TraceExportTest, EmptySessionYieldsEmptyEventArray) {
   EXPECT_TRUE(events.array().empty());
 }
 
-TEST_F(TraceExportTest, CounterAndInstantEventsAppearOnlyWhenProfiling) {
-  const auto count_phases = [](const bench::JsonValue& doc) {
-    std::map<std::string, int> by_ph;
-    for (const bench::JsonValue& ev :
-         bench::require(doc.object(), "traceEvents").array()) {
-      ++by_ph[bench::require_str(ev.object(), "ph")];
-    }
-    return by_ph;
-  };
+std::map<std::string, int> count_phases(const bench::JsonValue& doc) {
+  std::map<std::string, int> by_ph;
+  for (const bench::JsonValue& ev :
+       bench::require(doc.object(), "traceEvents").array()) {
+    ++by_ph[bench::require_str(ev.object(), "ph")];
+  }
+  return by_ph;
+}
 
+TEST(TraceExportTest, CounterAndInstantEventsAppearOnlyWhenProfiling) {
   // Profiling off: prof_counter is a no-op, only "X" events exist.
   {
     simt::Device dev;
@@ -139,7 +122,8 @@ TEST_F(TraceExportTest, CounterAndInstantEventsAppearOnlyWhenProfiling) {
   // Profiling on: the same calls materialize as counter + instant events
   // (plus the critical-path track: an M row-name event and one X slice per
   // attributed chain segment).
-  simt::Profiler::set_enabled(true);
+  simt::Profile profile;
+  const simt::ProfileScope scope(profile);
   {
     simt::Device dev;
     simt::Session s = dev.session();
@@ -154,7 +138,34 @@ TEST_F(TraceExportTest, CounterAndInstantEventsAppearOnlyWhenProfiling) {
   }
 }
 
-TEST_F(TraceExportTest, FlowEventsAndCritPathTrackOnlyWhenProfiling) {
+// A trace carries the samples of the profile active at export, so samples
+// recorded under an earlier scope stay out of a later session's trace.
+TEST(TraceExportTest, EarlierScopesSamplesStayOutOfTrace) {
+  simt::Device dev;
+  simt::Profile earlier;
+  {
+    const simt::ProfileScope scope(earlier);
+    simt::Session s = dev.session();
+    launch_named(dev, "trace/a", 0, 2);
+    dev.prof_counter("trace/earlier", 1.0);
+    dev.prof_instant("trace/earlier_flush", "queue");
+  }
+  simt::Profile later;
+  const simt::ProfileScope scope(later);
+  simt::Session s = dev.session();
+  launch_named(dev, "trace/b", 0, 2);
+  dev.prof_counter("trace/later", 2.0);
+  std::ostringstream out;
+  simt::write_chrome_trace(out, dev);
+  EXPECT_EQ(out.str().find("trace/earlier"), std::string::npos);
+  EXPECT_NE(out.str().find("trace/later"), std::string::npos);
+  const auto by_ph = count_phases(bench::parse_json(out.str()));
+  EXPECT_EQ(by_ph.at("C"), 1);
+  EXPECT_EQ(by_ph.count("i"), 0u);
+  EXPECT_EQ(earlier.counters.size(), 1u);
+}
+
+TEST(TraceExportTest, FlowEventsAndCritPathTrackOnlyWhenProfiling) {
   const auto launch_tree = [](simt::Device& dev) {
     simt::LaunchConfig cfg;
     cfg.grid_blocks = 1;
@@ -186,7 +197,8 @@ TEST_F(TraceExportTest, FlowEventsAndCritPathTrackOnlyWhenProfiling) {
     }
   }
 
-  simt::Profiler::set_enabled(true);
+  simt::Profile profile;
+  const simt::ProfileScope scope(profile);
   simt::Device dev;
   simt::Session s = dev.session();
   launch_tree(dev);

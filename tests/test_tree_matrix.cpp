@@ -25,13 +25,13 @@ TEST(TreeGen, RegularTreeShape) {
   EXPECT_EQ(tr.max_level(), 2u);
   EXPECT_NO_THROW(tr.validate());
   EXPECT_EQ(tr.num_children(0), 3u);
-  EXPECT_TRUE(tr.is_leaf(12));
+  EXPECT_EQ(tr.num_children(12), 0u);
 }
 
 TEST(TreeGen, DepthZeroIsSingleNode) {
   const t::Tree tr = t::generate_tree({.depth = 0, .outdegree = 5}, 1);
   EXPECT_EQ(tr.num_nodes(), 1u);
-  EXPECT_TRUE(tr.is_leaf(0));
+  EXPECT_EQ(tr.num_children(0), 0u);
 }
 
 TEST(TreeGen, RootAlwaysExpands) {

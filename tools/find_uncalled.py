@@ -9,15 +9,19 @@ define the function (in the header and in the .cpp of the same stem beside
 it) are not uses; every other occurrence, the function's own files
 included, is. A function with no use outside tests/ is reported as
 
-  uncalled    used nowhere, tests included;
-  tests only  used only under tests/.
+  uncalled     used nowhere, tests included;
+  tests only   used only under tests/;
+  test oracle  used only under tests/, and kept on purpose: a comment line
+               containing "Test oracle:" (with the reason) sits in the
+               comment block directly above its declaration.
 
 Run from anywhere:
 
   python3 tools/find_uncalled.py
 
-Exits 1 when any function is uncalled, so CI can keep dead entry points
-from piling up; "tests only" entries are listed but do not fail the run.
+Exits 1 when any function is uncalled or tests only, or when a "Test
+oracle:" mark sits on a function that is not tests-only, so CI keeps dead
+entry points and unexplained test-only code from piling up.
 
 The match is by name, not by overload or owner: a function counts as used
 when any token of the same name is. Common names therefore hide (the scan
@@ -125,6 +129,23 @@ def function_name(stmt, owner):
     return name
 
 
+def oracle_marks(text):
+    """Functions whose declaration directly follows a comment block holding
+    a "Test oracle:" line (the name is the first `name(` on that line)."""
+    names = set()
+    marked = False
+    for line in text.splitlines():
+        if line.strip().startswith("//"):
+            marked = marked or "Test oracle:" in line
+            continue
+        if marked:
+            m = re.search(r"(\w+)\s*\(", line)
+            if m:
+                names.add(m.group(1))
+        marked = False
+    return names
+
+
 def declared_functions(text):
     """Declaration and definition sites per function name at namespace or
     class scope (a qualified `Owner::name(` definition counts as `name`)."""
@@ -179,29 +200,37 @@ def main():
                 text = strip_code(p.read_text(encoding="utf-8"))
                 uses[p] = collections.Counter(re.findall(r"[A-Za-z_]\w*", text))
 
-    uncalled, tests_only = [], []
+    uncalled, tests_only, oracles, stale = [], [], [], []
     for header in sorted((ROOT / "src").rglob("*.h")):
-        sites = declared_functions(header.read_text(encoding="utf-8"))
+        text = header.read_text(encoding="utf-8")
+        sites = declared_functions(text)
+        marks = oracle_marks(text)
         source = header.with_suffix(".cpp")
         defined = (declared_functions(source.read_text(encoding="utf-8"))
                    if source.is_file() else collections.Counter())
         for name in sorted(sites):
+            entry = f"{header.relative_to(ROOT)}: {name}"
             in_src = sum(c[name] for p, c in uses.items()
                          if p.relative_to(ROOT).parts[0] != TEST_DIR)
-            if in_src > sites[name] + defined[name]:
-                continue
             in_tests = sum(c[name] for p, c in uses.items()
                            if p.relative_to(ROOT).parts[0] == TEST_DIR)
-            entry = f"{header.relative_to(ROOT)}: {name}"
-            (tests_only if in_tests else uncalled).append(entry)
+            if in_src > sites[name] + defined[name] or not in_tests:
+                if name in marks:
+                    stale.append(entry)
+                if in_src <= sites[name] + defined[name]:
+                    uncalled.append(entry)
+            else:
+                (oracles if name in marks else tests_only).append(entry)
+        stale += [f"{header.relative_to(ROOT)}: {name}"
+                  for name in sorted(marks - set(sites))]
 
-    print(f"uncalled ({len(uncalled)}):")
-    for e in uncalled:
-        print(f"  {e}")
-    print(f"tests only ({len(tests_only)}):")
-    for e in tests_only:
-        print(f"  {e}")
-    return 1 if uncalled else 0
+    for title, entries in (("uncalled", uncalled), ("tests only", tests_only),
+                           ("test oracles", oracles),
+                           ("stale oracle marks", stale)):
+        print(f"{title} ({len(entries)}):")
+        for e in entries:
+            print(f"  {e}")
+    return 1 if uncalled or tests_only or stale else 0
 
 
 if __name__ == "__main__":

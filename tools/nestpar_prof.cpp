@@ -92,7 +92,7 @@ std::string template_of(const std::string& kernel) {
 }
 
 std::vector<const simt::KernelProfile*> by_busy_cycles(
-    const simt::ProfileSnapshot& p) {
+    const simt::Profile& p) {
   std::vector<const simt::KernelProfile*> order;
   order.reserve(p.kernels.size());
   for (const simt::KernelProfile& k : p.kernels) order.push_back(&k);
@@ -105,7 +105,7 @@ std::vector<const simt::KernelProfile*> by_busy_cycles(
 }
 
 void report_suite(const bench::SuiteProfile& profile, std::size_t top) {
-  const simt::ProfileSnapshot& p = profile.prof;
+  const simt::Profile& p = profile.prof;
   std::printf("suite %s: %.0f cycles over %llu report(s), %llu grids "
               "(%llu device-launched)\n",
               profile.suite.c_str(), p.total_cycles,
@@ -172,7 +172,7 @@ void report_suite(const bench::SuiteProfile& profile, std::size_t top) {
 // -- Critical-path report (--critpath) --------------------------------------
 
 void report_critpath(const bench::SuiteProfile& profile, std::size_t top) {
-  const simt::ProfileSnapshot& p = profile.prof;
+  const simt::Profile& p = profile.prof;
   const double attributed = p.crit_total.total();
   std::printf("suite %s: critical path over %llu report(s), %.0f cycles "
               "attributed\n",
